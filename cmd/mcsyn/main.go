@@ -15,12 +15,11 @@
 // Flags:
 //
 //	-rs         emit the standard RS-implementation (default: C-elements)
-//	-engine E   analysis engine: explicit (default), symbolic, or auto
-//	            (auto probes the state count and switches to symbolic
-//	            past a threshold). Symbolic synthesis produces netlists
-//	            byte-identical to explicit; on specs too large for the
-//	            explicit engine it degrades to an analysis-only report
-//	            (reachable states + existence-only MC check).
+//	-engine E   what happens on a spec past the explicit state limit:
+//	            explicit (default) fails with the limit error; symbolic
+//	            and auto print an analysis-only report (reachable states
+//	            + existence-only MC check) from the symbolic engine.
+//	            Synthesis itself always runs on the explicit graph.
 //	-share      enable Section-VI generalized-MC gate sharing
 //	-baseline   use the correct-cover baseline instead of MC synthesis
 //	-dot        print the final state graph in Graphviz syntax
@@ -238,8 +237,7 @@ func fillSynth(r *obs.RunReport, rep *synth.Report, err error) {
 }
 
 // runConfig snapshots the flags that shape one synthesis run for the
-// journal's run_start record. Engine is the requested engine ("auto"
-// included); the per-spec resolution is visible in the run report.
+// journal's run_start record. Engine is the -engine flag as given.
 func runConfig(engineName string, opts synth.Options) journal.RunConfig {
 	return journal.RunConfig{
 		Engine:        engineName,
@@ -292,7 +290,7 @@ func main() {
 	fanin := flag.Int("fanin", 0, "map to a library with this AND/OR fan-in bound (0 = none)")
 	inverters := flag.Bool("inverters", false, "map pin bubbles to explicit inverter cells")
 	verilog := flag.Bool("verilog", false, "print the implementation as structural Verilog")
-	engineName := flag.String("engine", "explicit", "analysis engine: explicit, symbolic, or auto (switches to symbolic past an estimated state count)")
+	engineName := flag.String("engine", "explicit", "past the explicit state limit: explicit fails, symbolic or auto print a symbolic analysis-only report")
 	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	maxModels := flag.Int("maxmodels", 0, "max SAT models per conflict/strategy pair in repair (0 = default 128)")
 	repairWorkers := flag.Int("repair-workers", 0, "repair candidate-scoring pool size (0 = follow -parallel, 1 = sequential)")
@@ -430,23 +428,18 @@ func main() {
 
 	if *table1 {
 		failed := false
-		if ses.o != nil || *engineName == "auto" {
+		if ses.o != nil {
 			// Observed runs go spec by spec so spans and counter deltas
-			// attribute cleanly to one benchmark each; auto runs do too,
-			// so the engine resolves per spec.
+			// attribute cleanly to one benchmark each.
 			for _, e := range benchdata.Table1 {
 				finish := ses.begin()
-				o := opts
-				journal.PublishRunStart(e.Name, e.Source, runConfig(*engineName, o))
-				net := e.STG()
-				o.Engine = resolveEngine(*engineName, net)
-				rep, err := synth.FromSTG(net, o)
+				journal.PublishRunStart(e.Name, e.Source, runConfig(*engineName, opts))
+				rep, err := synth.FromSTG(e.STG(), opts)
 				journalRunEnd(e.Name, rep, err)
 				finish(e.Name, func(r *obs.RunReport) { fillSynth(r, rep, err) })
 				failed = printTable1Result(benchdata.Table1Result{Entry: e, Report: rep, Err: err}, *quiet) || failed
 			}
 		} else {
-			opts.Engine = *engineName
 			for _, r := range benchdata.RunTable1(opts, *parallel) {
 				failed = printTable1Result(r, *quiet) || failed
 			}
@@ -520,9 +513,8 @@ func main() {
 		return
 	}
 
-	opts.Engine = resolveEngine(*engineName, net)
 	rep, err := synth.FromSTG(net, opts)
-	if err != nil && opts.Engine == "symbolic" && engine.IsStateLimit(err) {
+	if err != nil && *engineName != "explicit" && engine.IsStateLimit(err) {
 		// The spec is past the explicit engine's capacity. Synthesis
 		// needs the explicit graph, but the symbolic engine can still
 		// answer the analysis questions — report those instead of dying.
@@ -567,21 +559,8 @@ func main() {
 	}
 }
 
-// resolveEngine maps -engine=auto to a concrete engine for one spec: a
-// bounded probe exploration decides whether the state space is small
-// enough to stay explicit. Explicit and symbolic pass through.
-func resolveEngine(name string, net *stg.STG) string {
-	if name != "auto" {
-		return name
-	}
-	if n, exact := engine.EstimateStates(net, engine.DefaultAutoThreshold); exact && n <= uint64(engine.DefaultAutoThreshold) {
-		return "explicit"
-	}
-	return "symbolic"
-}
-
-// analysisOnly is the -engine=symbolic degradation path for specs the
-// explicit engine cannot explore: report the symbolic reachability
+// analysisOnly is the -engine=symbolic|auto degradation path for specs
+// the explicit engine cannot explore: report the symbolic reachability
 // count and the existence-only MC verdict, then exit by their status.
 func analysisOnly(net *stg.STG, finish func(string, func(*obs.RunReport)), quiet bool) {
 	a, err := (&engine.Symbolic{}).Analyze(net)

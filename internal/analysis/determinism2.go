@@ -50,8 +50,8 @@ var DeterministicScope = map[string]bool{
 	"repro/internal/tech":    true,
 	// The symbolic core: node ids, variable orders and region
 	// decompositions must come out identical run over run, or the
-	// engine differential tests (and the byte-identical-netlist promise
-	// under Options.SymbolicMC) stop meaning anything.
+	// engine differential tests and the analysis-only reports past the
+	// explicit state limit stop meaning anything.
 	"repro/internal/bdd":    true,
 	"repro/internal/engine": true,
 	// The portfolio SAT layer: every model comes from the canonical

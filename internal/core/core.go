@@ -51,18 +51,6 @@ type Analyzer struct {
 	candBuf cube.Cube
 	litsBuf []int
 	subBuf  []int
-
-	gspace *GraphSpace // lazy index-bit symbolic view of G, see graphSpace
-}
-
-// graphSpace returns (building on first use) the symbolic index-bit view
-// of the analyzer's graph that the *Symbolic checks run over. Lazily
-// built because only symbolic-engine paths pay for it.
-func (a *Analyzer) graphSpace() *GraphSpace {
-	if a.gspace == nil {
-		a.gspace = NewGraphSpace(a.G, a.Idx)
-	}
-	return a.gspace
 }
 
 // NewAnalyzer computes the dense index and the region decomposition of

@@ -10,13 +10,12 @@ import (
 
 // This file is the symbolic half of the analysis engine abstraction: the
 // Monotonous Cover theory evaluated over BDD-represented state sets
-// instead of enumerated states. A SymSpace is any symbolic state space —
+// instead of enumerated states. A SymSpace is any symbolic state space:
 // stg.SymbolicSpace answers over the net's markings without ever
-// materializing them, and GraphSpace wraps an explicit sg.Graph in
-// index-bit BDDs so the same checks run against the explicit reference.
-// Every check here is existence-only: it decides whether a cover or a
-// violation exists without constructing witness cubes or state lists,
-// which is exactly what encode.Repair's candidate pruning consumes.
+// materializing them, which carries analysis past the explicit state
+// limit. Every check here is existence-only: it decides whether a cover
+// or a violation exists without constructing witness cubes or state
+// lists.
 
 // SymSpace is the narrow view of a symbolic state space the Monotonous
 // Cover theory needs. All state sets are BDDs over StateVars() in the
@@ -278,41 +277,4 @@ func SymMCSummary(sp SymSpace) ([]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// CountViolationsBudgetSymbolic is the engine-abstracted twin of
-// CountViolationsBudget: the same scan order, budgeted early exit and
-// per-signal fallback chain, but each region's cover-existence question
-// is answered by symbolic set operations over a GraphSpace instead of
-// per-state scans. Whenever a region has no private cover the whole
-// signal is delegated to the explicit countSignal — verdict equivalence
-// per region makes the returned count identical to the explicit one, so
-// repair driven by either counter takes identical decisions.
-func (a *Analyzer) CountViolationsBudgetSymbolic(budget int, hot ...string) int {
-	sp := a.graphSpace()
-	violations := 0
-	for _, sig := range a.scanOrder(hot) {
-		violations += a.countSignalSymbolic(sp, sig)
-		if budget > 0 && violations >= budget {
-			break
-		}
-	}
-	return violations
-}
-
-// countSignalSymbolic mirrors countSignal with the per-region existence
-// check evaluated symbolically. The regions themselves come from the
-// explicit decomposition (the graph is already materialized here); only
-// the MC conditions move to BDDs.
-func (a *Analyzer) countSignalSymbolic(sp *GraphSpace, sig int) int {
-	regs := a.regs(sig)
-	symRegs := sp.adoptRegions(regs)
-	for i := range regs.ER {
-		if SymMCViolation(sp, symRegs, i) {
-			// At least one region needs the fallback chain; run the whole
-			// signal through the explicit counter for exact parity.
-			return a.countSignal(sig)
-		}
-	}
-	return 0
 }

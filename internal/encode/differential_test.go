@@ -186,50 +186,3 @@ func TestCrossRoundLearntsSound(t *testing.T) {
 		})
 	}
 }
-
-// TestRepairSymbolicExplicitIdentical pins the engine-abstraction
-// contract on the repair loop: scoring candidates with the symbolic
-// existence-only MC counter selects byte-identical results to the
-// explicit scorer — same inserted signals, same strategies, same search
-// tallies, gate-identical netlists — across every Table-1 specification.
-func TestRepairSymbolicExplicitIdentical(t *testing.T) {
-	for _, e := range benchdata.Table1 {
-		e := e
-		t.Run(e.Name, func(t *testing.T) {
-			net, err := stg.Parse(e.Source)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := stg.BuildSG(net)
-			if err != nil {
-				t.Fatal(err)
-			}
-			exp, err := encode.Repair(g, encode.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sym, err := encode.Repair(g, encode.Options{SymbolicMC: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(exp.Added, sym.Added) {
-				t.Errorf("added signals diverge: explicit=%v symbolic=%v", exp.Added, sym.Added)
-			}
-			if !reflect.DeepEqual(exp.Strategy, sym.Strategy) {
-				t.Errorf("strategies diverge: explicit=%v symbolic=%v", exp.Strategy, sym.Strategy)
-			}
-			if exp.Models != sym.Models || exp.Candidates != sym.Candidates ||
-				exp.Deduped != sym.Deduped || exp.Pruned != sym.Pruned {
-				t.Errorf("search tallies diverge: explicit models=%d candidates=%d deduped=%d pruned=%d, symbolic models=%d candidates=%d deduped=%d pruned=%d",
-					exp.Models, exp.Candidates, exp.Deduped, exp.Pruned,
-					sym.Models, sym.Candidates, sym.Deduped, sym.Pruned)
-			}
-			if len(exp.Added) == 0 {
-				return // nothing inserted; netlists trivially agree
-			}
-			if en, sn := netlistOf(t, exp), netlistOf(t, sym); en != sn {
-				t.Errorf("netlists diverge:\n--- explicit ---\n%s--- symbolic ---\n%s", en, sn)
-			}
-		})
-	}
-}

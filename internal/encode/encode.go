@@ -376,11 +376,6 @@ type Options struct {
 	// Workers bounds the worker pool of the per-signal MC analyses run
 	// inside the repair loop (0 = GOMAXPROCS, 1 = sequential).
 	Workers int
-	// SymbolicMC scores candidates with the symbolic existence-only MC
-	// check (BDD set operations over the candidate graph) instead of the
-	// explicit per-state scans. The two scorers return identical counts,
-	// so the repair trajectory — and the final netlist — is unchanged.
-	SymbolicMC bool
 	// Portfolio is the width K of the deterministic SAT portfolio
 	// racing each round's queries (0 = auto: a single canonical solver
 	// when the effective worker count is 1, otherwise min(4, workers);
@@ -1149,12 +1144,7 @@ func (rs *roundSearch) score(labels []Label, budget int, scr *expandScratch) sco
 	if rs.opts.Target == TargetCSC {
 		return scored{g: g2, count: len(g2.CSCViolations())}
 	}
-	var n int
-	if rs.opts.SymbolicMC {
-		n = core.NewAnalyzerLazy(g2).CountViolationsBudgetSymbolic(budget, rs.hot...)
-	} else {
-		n = core.NewAnalyzerLazy(g2).CountViolationsBudget(budget, rs.hot...)
-	}
+	n := core.NewAnalyzerLazy(g2).CountViolationsBudget(budget, rs.hot...)
 	return scored{g: g2, count: n, pruned: n >= budget}
 }
 

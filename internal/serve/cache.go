@@ -71,8 +71,8 @@ func stageKey(stage string, inputs ...string) string {
 
 // Config is the synthesis configuration a request selects. Only fields
 // that can change a stage's output participate in that stage's cache
-// key: MaxModels and Engine fingerprint the repair stage, RS and Share
-// the netlist stage. Worker counts and portfolio width are
+// key: MaxModels fingerprints the repair stage, RS and Share the
+// netlist stage. Worker counts and portfolio width are
 // deliberately absent — the repo's determinism guarantee (byte-identical
 // netlists at any parallelism) is what proves they can never make a
 // cached entry stale.
@@ -85,16 +85,12 @@ type Config struct {
 	// (0 = encode default). It can change which labellings repair
 	// enumerates, so it is part of the repair fingerprint.
 	MaxModels int `json:"maxmodels,omitempty"`
-	// Engine scores repair candidates: "", "explicit" or "symbolic".
-	// Both produce byte-identical netlists; it still participates in
-	// the repair fingerprint so the full configuration is addressed.
-	Engine string `json:"engine,omitempty"`
 }
 
 // RepairFP fingerprints the configuration slice the repair stage
 // depends on.
 func (c Config) RepairFP() string {
-	return fmt.Sprintf("maxmodels=%d|engine=%s", c.MaxModels, c.Engine)
+	return fmt.Sprintf("maxmodels=%d", c.MaxModels)
 }
 
 // NetlistFP fingerprints the additional configuration the cover/netlist

@@ -37,8 +37,8 @@ func TestConfigFingerprintCoversAllFields(t *testing.T) {
 // If the format convention drifts, both this test and the cachekey
 // analyzer need a coordinated update.
 func TestConfigFingerprintFormat(t *testing.T) {
-	c := Config{MaxModels: 7, Engine: "symbolic", RS: true, Share: false}
-	if got := c.RepairFP(); got != "maxmodels=7|engine=symbolic" {
+	c := Config{MaxModels: 7, RS: true, Share: false}
+	if got := c.RepairFP(); got != "maxmodels=7" {
 		t.Errorf("RepairFP() = %q; fingerprint format drifted", got)
 	}
 	if got := c.NetlistFP(); got != "rs=true|share=false" {

@@ -4,23 +4,22 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/encode"
-	"repro/internal/netlist"
 	"repro/internal/sg"
 	"repro/internal/stg"
 	"repro/internal/synth"
 	"repro/internal/verify"
 )
 
-// The staged pipeline, cache-aware. Each stage is the smallest unit
-// whose inputs are content-addressable: parse, reach and analyze key on
-// the canonical source alone, repair adds the repair fingerprint, and
-// the netlist stage (cover + build + verify) adds the implementation
-// fingerprint. A request that differs from a cached one only in RS
-// therefore reuses the repair result — the stage that dominates cold
-// cost by orders of magnitude — and recomputes only covers and
-// verification.
+// The staged pipeline, cache-aware. The stage bodies are synth's stage
+// functions; this file adds only cache keys and Result assembly. Each
+// stage is the smallest unit whose inputs are content-addressable:
+// parse, reach and analyze key on the canonical source alone, repair
+// adds the repair fingerprint, and the netlist stage (cover + build +
+// verify) adds the implementation fingerprint. A request that differs
+// from a cached one only in RS therefore reuses the repair result — the
+// stage that dominates cold cost by orders of magnitude — and
+// recomputes only covers and verification.
 
 // parseResult is the parse stage's cache value. Errors are cached too:
 // the pipeline is deterministic, so a spec that fails to parse fails
@@ -37,22 +36,18 @@ type reachResult struct {
 }
 
 type analyzeResult struct {
-	props sg.PropertyReport
-	err   error
+	err error
 }
 
-// repairResult carries the repaired graph plus the MC report whose
+// repairResult carries the repair stage's result, whose MC report's
 // analyzer derives covers on demand. The analyzer memoizes region
 // decompositions lazily, so concurrent cover derivations on one shared
 // entry must serialize on mu — that is the only mutable state a cached
 // stage value owns.
 type repairResult struct {
-	mu     sync.Mutex
-	final  *sg.Graph
-	added  []string
-	mc     *core.Report
-	models int
-	err    error
+	mu    sync.Mutex
+	fixed *encode.Result
+	err   error
 }
 
 // Result is the netlist stage's cache value and the API's result
@@ -113,10 +108,10 @@ func (s *Server) stage(tr *Trace, name, key string, compute func() any) any {
 }
 
 // synthesize runs (or replays from cache) the full pipeline for one
-// request. It mirrors synth.FromGraph stage for stage — consistency and
-// property checks, repair, the bisimulation guard, covers, netlist,
-// verification — so a cache-assembled result is byte-identical to a
-// monolithic synthesis of the same spec and config.
+// request: one stage per synth stage function (stg.Parse, stg.BuildSG,
+// synth.Analyze, synth.Repair, then synth.CoverNetlist + verify.Check),
+// so a cache-assembled result is byte-identical to synth.FromSTGSource
+// on the same spec and config.
 //
 // onSpec, when non-nil, fires once as soon as the specification's name
 // is known (right after parse) — the hook the server uses to route
@@ -161,36 +156,16 @@ func (s *Server) synthesize(name, source string, cfg Config, onSpec func(spec st
 	}
 
 	ar := s.stage(tr, "analyze", kAnalyze, func() any {
-		if err := rr.g.CheckConsistency(); err != nil {
-			return &analyzeResult{err: err}
-		}
-		props := rr.g.Check()
-		if !props.OutputSemiModular {
-			return &analyzeResult{props: props, err: fmt.Errorf(
-				"synth: %s is not output semi-modular; no speed-independent implementation exists", rr.g.Name)}
-		}
-		return &analyzeResult{props: props}
+		_, err := synth.Analyze(rr.g)
+		return &analyzeResult{err: err}
 	}).(*analyzeResult)
 	if ar.err != nil {
 		return fail(ar.err)
 	}
 
 	rep := s.stage(tr, "repair", kRepair, func() any {
-		ropts := encode.Options{
-			MaxModels:  cfg.MaxModels,
-			Workers:    s.jobWorkers(),
-			SymbolicMC: cfg.Engine == "symbolic",
-		}
-		fixed, err := encode.Repair(rr.g, ropts)
-		if err != nil {
-			return &repairResult{err: err}
-		}
-		if len(fixed.Added) > 0 && rr.g.NumStates() <= 4096 {
-			if err := sg.WeaklyBisimilar(rr.g, fixed.G); err != nil {
-				return &repairResult{err: fmt.Errorf("synth: insertion changed the visible behaviour: %w", err)}
-			}
-		}
-		return &repairResult{final: fixed.G, added: fixed.Added, mc: fixed.Report, models: fixed.Models}
+		fixed, err := synth.Repair(rr.g, encode.Options{MaxModels: cfg.MaxModels, Workers: s.jobWorkers()})
+		return &repairResult{fixed: fixed, err: err}
 	}).(*repairResult)
 	if rep.err != nil {
 		return fail(rep.err)
@@ -200,30 +175,30 @@ func (s *Server) synthesize(name, source string, cfg Config, onSpec func(spec st
 		// The MC report's analyzer builds region decompositions lazily;
 		// serialize cover derivation per repair entry so two netlist
 		// configs sharing it never race on that memoization.
+		final := rep.fixed.G
 		rep.mu.Lock()
-		nl, _, err := synth.CoverNetlist(rep.final, rep.mc, synth.Options{RS: cfg.RS, Share: cfg.Share})
+		nl, _, err := synth.CoverNetlist(final, rep.fixed.Report, synth.Options{RS: cfg.RS, Share: cfg.Share})
 		rep.mu.Unlock()
 		out := &Result{
 			Spec:        name,
 			SpecSHA:     srcSHA,
 			Key:         kNet,
-			Added:       rep.added,
+			Added:       rep.fixed.Added,
 			SpecStates:  rr.g.NumStates(),
-			FinalStates: rep.final.NumStates(),
+			FinalStates: final.NumStates(),
 		}
 		if err != nil {
 			out.Verdict = "error: " + err.Error()
 			out.Err = err.Error()
 			return out
 		}
-		var stats netlist.Stats = nl.Stats()
 		out.Netlist = nl.String()
 		out.NetlistSHA = SHA(out.Netlist)
-		out.Literals = stats.Literals
-		vres := verify.CheckLimit(nl, rep.final, verify.DefaultStateLimit)
+		out.Literals = nl.Stats().Literals
+		vres := verify.Check(nl, final)
 		out.Verdict = vres.String()
 		out.ComposedStates = vres.States
-		out.OK = rep.mc.Satisfied() && vres.OK()
+		out.OK = rep.fixed.Report.Satisfied() && vres.OK()
 		if !vres.OK() {
 			out.Err = fmt.Sprintf("synth: %s: synthesized circuit failed verification", name)
 		}

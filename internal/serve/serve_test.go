@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -79,17 +81,32 @@ func TestSingleflightAdmitsOneRun(t *testing.T) {
 }
 
 // TestCachedColdShardsByteIdentical pins the acceptance criterion:
-// netlists served cold, from cache, and at different shard counts are
-// byte-identical to a direct synth.FromGraph run for all nine Table-1
-// benchmarks.
+// results served cold, from cache, and at different shard counts match
+// a direct synth.FromSTGSource run — netlist bytes, inserted signals,
+// state counts and verdict — for all nine Table-1 benchmarks under
+// every netlist configuration ({C, RS} × {private, shared}).
 func TestCachedColdShardsByteIdentical(t *testing.T) {
-	ref := map[string]string{} // spec name → reference netlist text
-	for _, e := range benchdata.Table1 {
-		rep, err := synth.FromSTGSource(e.Source, synth.Options{})
-		if err != nil {
-			t.Fatalf("%s: reference synthesis: %v", e.Name, err)
+	configs := []Config{{}, {RS: true}, {Share: true}, {RS: true, Share: true}}
+	type key struct {
+		spec string
+		cfg  Config
+	}
+	ref := map[key]Result{}
+	for _, cfg := range configs {
+		for _, e := range benchdata.Table1 {
+			rep, err := synth.FromSTGSource(e.Source, synth.Options{RS: cfg.RS, Share: cfg.Share})
+			if err != nil {
+				t.Fatalf("%s %+v: reference synthesis: %v", e.Name, cfg, err)
+			}
+			ref[key{e.Name, cfg}] = Result{
+				Netlist:        rep.Netlist.String(),
+				Added:          rep.AddedSignals,
+				SpecStates:     rep.Spec.NumStates(),
+				FinalStates:    rep.Final.NumStates(),
+				ComposedStates: rep.Verify.States,
+				OK:             rep.OK(),
+			}
 		}
-		ref[e.Name] = rep.Netlist.String()
 	}
 
 	for _, shards := range []int{1, 4} {
@@ -99,24 +116,38 @@ func TestCachedColdShardsByteIdentical(t *testing.T) {
 			t.Fatalf("start: %v", err)
 		}
 		for pass := 0; pass < 2; pass++ {
-			for _, e := range benchdata.Table1 {
-				res := postSynth(t, addr, Request{Name: e.Name, Source: e.Source})
-				if res.Result == nil {
-					t.Fatalf("shards=%d pass=%d %s: no result", shards, pass, e.Name)
-				}
-				if res.Result.Netlist != ref[e.Name] {
-					t.Errorf("shards=%d pass=%d %s: netlist differs from direct synthesis", shards, pass, e.Name)
-				}
-				if pass == 1 && len(res.Result.Added) != e.PaperAdded {
-					t.Errorf("%s: %d added signals from cache, paper says %d", e.Name, len(res.Result.Added), e.PaperAdded)
+			for _, cfg := range configs {
+				for _, e := range benchdata.Table1 {
+					res := postSynth(t, addr, Request{Name: e.Name, Source: e.Source, Config: cfg}).Result
+					if res == nil {
+						t.Fatalf("shards=%d pass=%d %s %+v: no result", shards, pass, e.Name, cfg)
+					}
+					want := ref[key{e.Name, cfg}]
+					if res.Netlist != want.Netlist {
+						t.Errorf("shards=%d pass=%d %s %+v: netlist differs from direct synthesis", shards, pass, e.Name, cfg)
+					}
+					if !reflect.DeepEqual(res.Added, want.Added) || res.SpecStates != want.SpecStates ||
+						res.FinalStates != want.FinalStates || res.ComposedStates != want.ComposedStates || res.OK != want.OK {
+						t.Errorf("shards=%d pass=%d %s %+v: served added=%v states=%d/%d composed=%d ok=%v, direct added=%v states=%d/%d composed=%d ok=%v",
+							shards, pass, e.Name, cfg, res.Added, res.SpecStates, res.FinalStates, res.ComposedStates, res.OK,
+							want.Added, want.SpecStates, want.FinalStates, want.ComposedStates, want.OK)
+					}
+					if pass == 1 && len(res.Added) != e.PaperAdded {
+						t.Errorf("%s: %d added signals from cache, paper says %d", e.Name, len(res.Added), e.PaperAdded)
+					}
 				}
 			}
 		}
-		// Second pass must have been pure cache: no stage recomputed.
+		// Second pass must have been pure cache: no stage recomputed. The
+		// four configurations share one repair per spec and differ only
+		// in the netlist stage.
 		for _, st := range Stages {
-			if got := s.computes[st].Value(); got != int64(len(benchdata.Table1)) {
-				t.Errorf("shards=%d stage %s: %d computes, want %d (second pass must hit cache)",
-					shards, st, got, len(benchdata.Table1))
+			want := int64(len(benchdata.Table1))
+			if st == "netlist" {
+				want *= int64(len(configs))
+			}
+			if got := s.computes[st].Value(); got != want {
+				t.Errorf("shards=%d stage %s: %d computes, want %d (second pass must hit cache)", shards, st, got, want)
 			}
 		}
 	}
@@ -324,21 +355,69 @@ func TestHTTPSurface(t *testing.T) {
 	}
 }
 
-// TestErrorResultsCached pins negative caching: a spec that fails
-// analysis fails identically from cache without recomputing.
+// TestErrorResultsCached pins negative caching: a spec that fails to
+// parse, the spec TestPipelineRejectsNonSemiModular rejects (its net is
+// not 1-safe, so reach fails), and one whose input a+ disables output
+// c+ (analyze fails) each fail with synth's own error text and fail
+// identically from cache without recomputing.
 func TestErrorResultsCached(t *testing.T) {
-	s := newTestServer(t, Options{})
-	bad := ".model broken\n.inputs a\n.outputs b\n.graph\na+ b+\nb+ a-\na- b-\nb- a+\n.marking {<b-,a+>}\n.end\n"
-	r1, _ := s.synthesize("", bad, Config{}, nil)
-	r2, tr := s.synthesize("", bad, Config{}, nil)
-	if r1.Err == "" {
-		t.Skip("spec unexpectedly synthesizable; negative-cache path not exercised")
+	unsafe := ".model bad\n.inputs a\n.outputs c\n.graph\np a+ c+\na+ q\nc+ q\nq a-\na- c-\nc- p2\na- p2\np2 a+\n.marking { p }\n.end\n"
+	choice := ".model choice\n.inputs a\n.outputs c\n.graph\np a+ c+\na+ a-\na- p\nc+ c-\nc- p\n.marking { p }\n.end\n"
+	for _, src := range []string{"garbage\n", unsafe, choice} {
+		_, want := synth.FromSTGSource(src, synth.Options{})
+		if want == nil {
+			t.Fatalf("%q: direct synthesis unexpectedly succeeded", src)
+		}
+		s := newTestServer(t, Options{})
+		r1, _ := s.synthesize("", src, Config{}, nil)
+		r2, tr := s.synthesize("", src, Config{}, nil)
+		if r1.Err != want.Error() {
+			t.Errorf("%q: served error %q, direct synthesis says %q", src, r1.Err, want)
+		}
+		if r2.Err != r1.Err {
+			t.Errorf("%q: cached error %q differs from cold error %q", src, r2.Err, r1.Err)
+		}
+		if len(tr.Computed) != 0 {
+			t.Errorf("%q: second failing run recomputed %v, want pure cache", src, tr.Computed)
+		}
 	}
-	if r2.Err != r1.Err {
-		t.Errorf("cached error %q differs from cold error %q", r2.Err, r1.Err)
+}
+
+// TestFinishedJobsBounded pins the job table's bound: past
+// finishedJobs completions the oldest finished jobs are evicted, and
+// the most recent one still answers GET /job/{id}.
+func TestFinishedJobsBounded(t *testing.T) {
+	s := newTestServer(t, Options{Shards: 1})
+	src := benchdata.Table1[len(benchdata.Table1)-1].Source // Delement, the smallest
+	var first, last *Job
+	for i := 0; i < finishedJobs+10; i++ {
+		j, ok := s.submit(Request{Source: src})
+		if !ok {
+			t.Fatalf("job %d rejected", i)
+		}
+		<-j.done
+		if first == nil {
+			first = j
+		}
+		last = j
 	}
-	if len(tr.Computed) != 0 {
-		t.Errorf("second failing run recomputed %v, want pure cache", tr.Computed)
+	s.mu.Lock()
+	held := len(s.jobs)
+	s.mu.Unlock()
+	if held > finishedJobs {
+		t.Errorf("job table holds %d jobs, want at most %d", held, finishedJobs)
+	}
+	if _, ok := s.Job(first.ID); ok {
+		t.Errorf("oldest job %s still in the table past the bound", first.ID)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/job/"+last.ID, nil))
+	var view jobView
+	if err := json.NewDecoder(rec.Body).Decode(&view); err != nil || rec.Code != http.StatusOK {
+		t.Fatalf("GET /job/%s: status %d, decode error %v", last.ID, rec.Code, err)
+	}
+	if view.State != "done" || view.Result == nil || !view.Result.OK {
+		t.Errorf("most recent job: state=%q result=%+v, want done and OK", view.State, view.Result)
 	}
 }
 

@@ -37,6 +37,14 @@ type Options struct {
 // jobRing bounds each job's buffered progress events.
 const jobRing = 1024
 
+// finishedJobs bounds how many finished jobs stay pollable by id. A
+// finished job keeps its result and progress-event ring alive, so an
+// unbounded table would grow the heap with every request for the life
+// of the server. A polling client still finds its job while fewer than
+// finishedJobs later jobs have finished; ?wait=1 callers hold the *Job
+// itself and never look it up.
+const finishedJobs = 4096
+
 // Server is the synthesis service: the stage cache, the singleflight
 // table, the sharded job pool and the HTTP surface. It is also an
 // obs.Sink — attach it to the active observer with AddSink and every
@@ -56,13 +64,14 @@ type Server struct {
 	queueGa   *obs.Gauge              // serve_queue_depth
 	inflight  *obs.Gauge              // serve_inflight_jobs
 
-	mu      sync.Mutex
-	jobs    map[string]*Job
-	active  map[string][]*Job  // spec name → running jobs (SSE routing)
-	results map[string]*Result // netlist sha-256 → result
-	nextID  int64
-	running int
-	closed  bool
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	finished []string           // finished job ids, oldest first (at most finishedJobs)
+	active   map[string][]*Job  // spec name → running jobs (SSE routing)
+	results  map[string]*Result // netlist sha-256 → result
+	nextID   int64
+	running  int
+	closed   bool
 
 	mux *http.ServeMux
 	hs  *http.Server
@@ -304,6 +313,9 @@ func (s *Server) submit(req Request) (*Job, bool) {
 	s.jobs[j.ID] = j
 	s.mu.Unlock()
 
+	// Queue the event before the hand-off: once the pool holds the job,
+	// its worker owns j.Spec and emits job_running.
+	j.event("job_queued", map[string]any{"id": j.ID})
 	if !s.pool.TrySubmit(func() { s.runJob(j, req.Source) }) {
 		s.mu.Lock()
 		delete(s.jobs, j.ID)
@@ -314,7 +326,6 @@ func (s *Server) submit(req Request) (*Job, bool) {
 	}
 	s.requests.Add(1)
 	s.queueGa.Set(int64(s.pool.Depth()))
-	j.event("job_queued", map[string]any{"id": j.ID})
 	return j, true
 }
 
@@ -336,7 +347,6 @@ func (s *Server) runJob(j *Job, source string) {
 		s.active[spec] = append(s.active[spec], j)
 		s.mu.Unlock()
 		journal.PublishRunStart(spec, Canonicalize(source), journal.RunConfig{
-			Engine:        j.Config.Engine,
 			RepairWorkers: s.jobWorkers(),
 			MaxModels:     j.Config.MaxModels,
 			RS:            j.Config.RS,
@@ -351,6 +361,11 @@ func (s *Server) runJob(j *Job, source string) {
 	j.Result, j.Trace, j.State = res, tr, "done"
 	s.running--
 	running = s.running
+	s.finished = append(s.finished, j.ID)
+	if len(s.finished) > finishedJobs {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
 	if j.Spec != "" {
 		live := s.active[j.Spec][:0]
 		for _, other := range s.active[j.Spec] {

@@ -33,24 +33,9 @@ type Options struct {
 	Repair encode.Options
 	// SkipVerify skips the final speed-independence verification.
 	SkipVerify bool
-	// VerifyLimit bounds the composed state space (0 = default).
-	VerifyLimit int
-	// SkipBisim skips the check that state-signal insertion preserved
-	// the specification's visible behaviour (weak bisimulation with the
-	// inserted signals hidden).
-	SkipBisim bool
-	// Parallel bounds the worker pool of the per-signal analysis
-	// fan-out (0 = GOMAXPROCS, 1 = sequential). It also seeds
-	// Repair.Workers when that is unset.
+	// Parallel seeds Repair.Workers when that is unset (0 = GOMAXPROCS,
+	// 1 = sequential).
 	Parallel int
-	// Engine selects the analysis core driving repair's candidate
-	// scoring: "" or "explicit" for the per-state scans, "symbolic" for
-	// the BDD existence-only checks. The two return identical counts, so
-	// the synthesized netlist is byte-identical either way. Callers
-	// resolve "auto" (e.g. via engine.EstimateStates) before coming
-	// here: synthesis always needs the explicit graph, so this option
-	// never changes what is buildable, only how candidates are scored.
-	Engine string
 }
 
 // Report is the complete outcome of one synthesis run.
@@ -191,94 +176,112 @@ func CoverNetlist(final *sg.Graph, mc *core.Report, opts Options) (*netlist.Netl
 	return nl, saved, nil
 }
 
-// FromGraph synthesizes a state-graph specification.
+// Analyze is the analysis stage: the state graph's consistency check,
+// its behavioural property report, and the output semi-modularity
+// precondition without which no speed-independent implementation
+// exists.
+func Analyze(g *sg.Graph) (sg.PropertyReport, error) {
+	if err := g.CheckConsistency(); err != nil {
+		return sg.PropertyReport{}, err
+	}
+	props := g.Check()
+	if !props.OutputSemiModular {
+		return props, fmt.Errorf("synth: %s is not output semi-modular; no speed-independent implementation exists", g.Name)
+	}
+	return props, nil
+}
+
+// Repair is the state-signal insertion stage (Section V): encode.Repair
+// until the MC requirement holds, then, on specs of at most 4096
+// states, the check that insertion preserved the specification's
+// visible behaviour (weak bisimulation with the inserted signals
+// hidden).
+func Repair(g *sg.Graph, opts encode.Options) (*encode.Result, error) {
+	fixed, err := encode.Repair(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	if len(fixed.Added) > 0 && g.NumStates() <= 4096 {
+		if err := sg.WeaklyBisimilar(g, fixed.G); err != nil {
+			return nil, fmt.Errorf("synth: insertion changed the visible behaviour: %w", err)
+		}
+	}
+	return fixed, nil
+}
+
+// stage runs one FromGraph stage under a top-level obs span: it reads
+// the clock around run into *dur and records the stage's allocation
+// delta on the span. run sets the stage's result attributes itself.
+func stage(name, spec string, dur *time.Duration, run func(sp *obs.Span) error) error {
+	sp := obs.Start(name, obs.A("spec", spec))
+	mem := obs.MarkMem()
+	t0 := now()
+	err := run(sp)
+	*dur = since(t0)
+	sp.AttrMemDelta(mem)
+	sp.End()
+	return err
+}
+
+// FromGraph synthesizes a state-graph specification: Analyze, Repair,
+// CoverNetlist and verify.Check, each timed into the Report and traced
+// as one obs span.
 func FromGraph(g *sg.Graph, opts Options) (*Report, error) {
 	rep := &Report{Name: g.Name, Spec: g, Final: g}
 
-	switch opts.Engine {
-	case "", "explicit":
-	case "symbolic":
-		opts.Repair.SymbolicMC = true
-	default:
-		return rep, fmt.Errorf("synth: unknown engine %q (want explicit or symbolic)", opts.Engine)
-	}
-
-	asp := obs.Start("analyze", obs.A("spec", g.Name), obs.A("states", g.NumStates()))
-	amem := obs.MarkMem()
-	t0 := now()
-	if err := g.CheckConsistency(); err != nil {
-		asp.End()
+	err := stage("analyze", g.Name, &rep.AnalyzeTime, func(sp *obs.Span) (err error) {
+		sp.SetAttr("states", g.NumStates())
+		rep.Props, err = Analyze(g)
+		return err
+	})
+	if err != nil {
 		return rep, err
 	}
-	rep.Props = g.Check()
-	rep.AnalyzeTime = since(t0)
-	asp.AttrMemDelta(amem)
-	asp.End()
 	obs.Info("analyze done", "spec", g.Name, "states", g.NumStates(), "dur", rep.AnalyzeTime)
-	if !rep.Props.OutputSemiModular {
-		return rep, fmt.Errorf("synth: %s is not output semi-modular; no speed-independent implementation exists", g.Name)
-	}
 
-	rsp := obs.Start("repair", obs.A("spec", g.Name))
-	rmem := obs.MarkMem()
-	t1 := now()
 	if opts.Repair.Workers == 0 {
 		opts.Repair.Workers = opts.Parallel
 	}
-	fixed, err := encode.Repair(g, opts.Repair)
-	rep.RepairTime = since(t1)
-	if err != nil {
-		rsp.End()
-		return rep, err
-	}
-	rsp.SetAttr("added", len(fixed.Added))
-	rsp.SetAttr("models", fixed.Models)
-	rsp.AttrMemDelta(rmem)
-	rsp.End()
-	rep.Final = fixed.G
-	rep.AddedSignals = fixed.Added
-	rep.MC = fixed.Report
-	obs.Info("repair done", "spec", g.Name, "added", len(fixed.Added), "dur", rep.RepairTime)
-	if len(rep.AddedSignals) > 0 && !opts.SkipBisim && g.NumStates() <= 4096 {
-		if err := sg.WeaklyBisimilar(g, rep.Final); err != nil {
-			return rep, fmt.Errorf("synth: insertion changed the visible behaviour: %w", err)
+	err = stage("repair", g.Name, &rep.RepairTime, func(sp *obs.Span) error {
+		fixed, err := Repair(g, opts.Repair)
+		if err != nil {
+			return err
 		}
-	}
-
-	ssp := obs.Start("synth", obs.A("spec", g.Name))
-	smem := obs.MarkMem()
-	t2 := now()
-	nl, saved, err := CoverNetlist(rep.Final, rep.MC, opts)
-	rep.CoverTime = since(t2)
+		rep.Final, rep.AddedSignals, rep.MC = fixed.G, fixed.Added, fixed.Report
+		sp.SetAttr("added", len(fixed.Added))
+		sp.SetAttr("models", fixed.Models)
+		return nil
+	})
 	if err != nil {
-		ssp.End()
 		return rep, err
 	}
-	rep.SharedSaved = saved
-	rep.Netlist = nl
-	rep.Stats = nl.Stats()
-	ssp.SetAttr("literals", rep.Stats.Literals)
-	ssp.AttrMemDelta(smem)
-	ssp.End()
+	obs.Info("repair done", "spec", g.Name, "added", len(rep.AddedSignals), "dur", rep.RepairTime)
+
+	err = stage("synth", g.Name, &rep.CoverTime, func(sp *obs.Span) (err error) {
+		rep.Netlist, rep.SharedSaved, err = CoverNetlist(rep.Final, rep.MC, opts)
+		if err != nil {
+			return err
+		}
+		rep.Stats = rep.Netlist.Stats()
+		sp.SetAttr("literals", rep.Stats.Literals)
+		return nil
+	})
+	if err != nil {
+		return rep, err
+	}
 	obs.Info("synth done", "spec", g.Name, "literals", rep.Stats.Literals, "dur", rep.CoverTime)
 
-	if !opts.SkipVerify {
-		vsp := obs.Start("verify", obs.A("spec", g.Name))
-		vmem := obs.MarkMem()
-		t3 := now()
-		limit := opts.VerifyLimit
-		if limit == 0 {
-			limit = verify.DefaultStateLimit
-		}
-		rep.Verify = verify.CheckLimit(nl, rep.Final, limit)
-		rep.VerifyTime = since(t3)
-		vsp.SetAttr("composed_states", rep.Verify.States)
-		vsp.SetAttr("ok", rep.Verify.OK())
-		vsp.AttrMemDelta(vmem)
-		vsp.End()
-		if !rep.Verify.OK() {
-			return rep, fmt.Errorf("synth: %s: synthesized circuit failed verification:\n%s", g.Name, rep.Verify)
-		}
+	if opts.SkipVerify {
+		return rep, nil
 	}
-	return rep, nil
+	err = stage("verify", g.Name, &rep.VerifyTime, func(sp *obs.Span) error {
+		rep.Verify = verify.Check(rep.Netlist, rep.Final)
+		sp.SetAttr("composed_states", rep.Verify.States)
+		sp.SetAttr("ok", rep.Verify.OK())
+		if !rep.Verify.OK() {
+			return fmt.Errorf("synth: %s: synthesized circuit failed verification:\n%s", g.Name, rep.Verify)
+		}
+		return nil
+	})
+	return rep, err
 }
