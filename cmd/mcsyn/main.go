@@ -29,7 +29,9 @@
 //	-maxmodels N    bound the SAT models enumerated per conflict/strategy
 //	                pair during state-signal insertion (0 = default 128)
 //	-repair-workers N  bound the repair candidate-scoring pool
-//	                (0 = follow -parallel, 1 = sequential)
+//	                (0 = follow -parallel, 1 = sequential); models come
+//	                from one canonical SAT solver, so N never changes
+//	                the output
 //	-cpuprofile write a CPU profile to the given file
 //	-memprofile write a heap profile at exit to the given file
 //	-benchjson  benchmark the Table-1 pipeline stages (parse, reach,
@@ -241,7 +243,6 @@ func fillSynth(r *obs.RunReport, rep *synth.Report, err error) {
 func runConfig(engineName string, opts synth.Options) journal.RunConfig {
 	return journal.RunConfig{
 		Engine:        engineName,
-		Portfolio:     opts.Repair.Portfolio,
 		RepairWorkers: opts.Repair.Workers,
 		MaxModels:     opts.Repair.MaxModels,
 		Parallel:      opts.Parallel,
@@ -294,7 +295,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	maxModels := flag.Int("maxmodels", 0, "max SAT models per conflict/strategy pair in repair (0 = default 128)")
 	repairWorkers := flag.Int("repair-workers", 0, "repair candidate-scoring pool size (0 = follow -parallel, 1 = sequential)")
-	portfolio := flag.Int("portfolio", 0, "SAT portfolio width for repair (0 = auto from -repair-workers, 1 = single solver, max 8); never changes the netlist")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	benchjson := flag.String("benchjson", "", "benchmark the Table-1 pipeline stages and write the JSON report to this file")
@@ -424,7 +424,6 @@ func main() {
 	opts := synth.Options{RS: *rs, Share: *share, Parallel: *parallel}
 	opts.Repair.MaxModels = *maxModels
 	opts.Repair.Workers = *repairWorkers
-	opts.Repair.Portfolio = *portfolio
 
 	if *table1 {
 		failed := false

@@ -1,7 +1,7 @@
 // Command reprolint is the repository's invariant checker: a
-// multichecker running the internal/analysis suite (determinism,
-// determinism2, hotalloc, obssafe, parpool, cachekey, lockdiscipline)
-// over the packages matching its arguments.
+// multichecker running the internal/analysis suite (determinism2,
+// hotalloc, obssafe, parpool, cachekey, lockdiscipline) over the
+// packages matching its arguments.
 //
 //	go run ./cmd/reprolint ./...
 //	go run ./cmd/reprolint -factdir /tmp/facts ./...

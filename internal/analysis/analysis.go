@@ -1,4 +1,4 @@
-// Package analysis is reprolint's checker suite: seven invariant
+// Package analysis is reprolint's checker suite: six invariant
 // analyzers that machine-check the contracts the synthesis pipeline
 // otherwise enforces only by convention — the same move the paper makes
 // when it replaces designer judgement with the machine-checkable MC
@@ -6,8 +6,6 @@
 //
 // Syntactic (per-package) analyzers:
 //
-//   - determinism: reproducible packages must not iterate maps bare or
-//     read clocks/PRNGs (escape: //reprolint:ordered <why>);
 //   - hotalloc: //reprolint:hotpath functions must stay allocation-lean
 //     and the known hot paths must carry the marker (escape:
 //     //reprolint:alloc <why>);
@@ -24,9 +22,10 @@
 // loaded package in import order and chase properties through the CHA
 // call graph (see internal/analysis/lint and DESIGN.md §13):
 //
-//   - determinism2: no call chain from a reproducible package may reach
-//     a bare map range, clock read or PRNG draw, even through helper
-//     packages (escape: //reprolint:ordered <why>);
+//   - determinism2: reproducible packages must not iterate maps bare or
+//     read clocks/PRNGs, and no call chain from them may reach such a
+//     construct, even through helper packages (escape:
+//     //reprolint:ordered <why>);
 //   - lockdiscipline: no call that can block — channel ops, Wait,
 //     interface I/O, dynamic callbacks — while a sync.Mutex/RWMutex is
 //     held (escape: //reprolint:lock <why>).
@@ -55,7 +54,7 @@ func escaped(pass *lint.Pass, dirs *lint.DirectiveIndex, node ast.Node, name str
 	return esc
 }
 
-// Suite returns the seven analyzers with the package scope each one
+// Suite returns the six analyzers with the package scope each one
 // patrols in this repository. Analyzers themselves are scope-free (the
 // analysistest fixtures run them on arbitrary packages); the pairing
 // here is what cmd/reprolint enforces. For interprocedural analyzers
@@ -66,7 +65,6 @@ func Suite() []lint.ScopedAnalyzer {
 		return path == "repro" || strings.HasPrefix(path, "repro/")
 	}
 	return []lint.ScopedAnalyzer{
-		{Analyzer: Determinism, Scope: func(p string) bool { return DeterministicScope[p] }},
 		{Analyzer: DeterminismV2, Scope: func(p string) bool { return DeterministicScope[p] }},
 		{Analyzer: HotAlloc, Scope: inModule},
 		{Analyzer: ObsSafe, Scope: inModule},

@@ -7,8 +7,13 @@ import (
 	"repro/internal/analysis/analysistest"
 )
 
+// TestDeterminism pivots the deterministic scope onto the fixture of
+// in-package constructs: each one is reported where it is written.
 func TestDeterminism(t *testing.T) {
-	analysistest.Run(t, analysis.Determinism, "determinism")
+	old := analysis.DeterministicScope
+	analysis.DeterministicScope = map[string]bool{"determinism": true}
+	defer func() { analysis.DeterministicScope = old }()
+	analysistest.Run(t, analysis.DeterminismV2, "determinism")
 }
 
 // TestDeterminismV2 pivots the deterministic scope onto the fixture

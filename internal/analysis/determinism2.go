@@ -34,12 +34,11 @@ const nondetPathCap = 8
 
 // DeterministicScope names the packages that promise byte-identical
 // output for identical input at any worker count: the Table-1 pipeline
-// from MC analysis to netlist emission, the symbolic core, the
-// portfolio SAT layer, and the synthesis server. Determinism (v1)
-// reports constructs written inside these packages; DeterminismV2
-// reports call sites inside them whose callee is transitively
-// nondeterministic but lives outside them. Tests may override this to
-// point at fixtures.
+// from MC analysis to netlist emission, the symbolic core, the repair
+// SAT solver, and the synthesis server. DeterminismV2 reports the
+// nondeterministic constructs written inside these packages and the
+// call sites inside them whose callee is transitively nondeterministic
+// but lives outside them. Tests may override this to point at fixtures.
 var DeterministicScope = map[string]bool{
 	"repro/internal/core":    true,
 	"repro/internal/encode":  true,
@@ -54,9 +53,9 @@ var DeterministicScope = map[string]bool{
 	// explicit state limit stop meaning anything.
 	"repro/internal/bdd":    true,
 	"repro/internal/engine": true,
-	// The portfolio SAT layer: every model comes from the canonical
-	// anchor and clause exchange is merged in sorted order, so the
-	// whole package shares encode's any-worker-count determinism
+	// The repair SAT solver: in canonical mode every model is the
+	// lexicographically least one and learnt-clause exports are sorted,
+	// so the package shares encode's any-worker-count determinism
 	// promise.
 	"repro/internal/sat": true,
 	// The synthesis server: cached, coalesced and sharded execution
@@ -76,21 +75,79 @@ var nondetExemptPkgs = map[string]bool{
 	"repro/internal/obs/prof":    true,
 }
 
-// DeterminismV2 is the interprocedural determinism analyzer: it proves
-// (up to the CHA approximation) that no function reachable from the
-// reproducible-scope packages ranges a map bare, reads the clock, or
-// draws PRNG — and when one does, it reports the call site inside the
-// scope with the offending path, not just the construct three packages
-// away.
+// DeterminismV2 is the determinism analyzer. It flags constructs
+// whose observable order or value differs between runs — bare map
+// iteration, wall-clock reads, PRNG draws — in packages that promise
+// reproducible output. The Table-1 pinning tests catch a
+// nondeterministic netlist only after the fact; this analyzer points at
+// the construct that caused it. Inside the reproducible scope it
+// reports each construct where it is written. It is also
+// interprocedural: it proves (up to the CHA approximation) that no
+// function reachable from the scope does any of these things, and when
+// one outside the scope does, it reports the call site inside the scope
+// with the offending path, not just the construct three packages away.
 var DeterminismV2 = &lint.Analyzer{
 	Name: "determinism2",
-	Doc: "flags calls from reproducible-scope packages to functions that are " +
-		"transitively nondeterministic (bare map range, clock read, PRNG draw " +
-		"anywhere in their call graph), printing the offending path; escape with " +
+	Doc: "flags bare map iteration and time/math-rand use in packages that promise " +
+		"byte-identical output, and calls from them to functions that are " +
+		"transitively nondeterministic (any of those constructs anywhere in their " +
+		"call graph), printing the offending path; escape with " +
 		"//reprolint:ordered <justification> at the construct (kills the fact) or " +
 		"at the call site (waives one call)",
 	Run:       runDeterminismV2,
 	FactTypes: []lint.Fact{(*NondetFact)(nil)},
+}
+
+const orderedEscape = "ordered"
+
+// nondetRange reports whether n is a bare range over a map, returning
+// the hazard description.
+func nondetRange(pass *lint.Pass, n *ast.RangeStmt) (string, bool) {
+	tv, ok := pass.TypesInfo.Types[n.X]
+	if !ok {
+		return "", false
+	}
+	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+		return "", false
+	}
+	return "map iteration order is nondeterministic", true
+}
+
+// nondetCall reports whether the call's static callee is a known
+// nondeterminism root (clock read, PRNG draw), returning the hazard
+// description.
+func nondetCall(pass *lint.Pass, n *ast.CallExpr) (string, bool) {
+	fn := lint.Callee(pass.TypesInfo, n)
+	if fn == nil || fn.Pkg() == nil {
+		return "", false
+	}
+	path, name := fn.Pkg().Path(), fn.Name()
+	switch {
+	case path == "time" && (name == "Now" || name == "Since" || name == "Until"):
+		return "time." + name + " reads the wall clock", true
+	case path == "math/rand" || path == "math/rand/v2":
+		// Methods (rr.Float64 on a *rand.Rand) draw from whatever source
+		// the value was built with; the construction site (rand.New,
+		// rand.NewSource — package-level functions) is where the seed is
+		// visible and where the finding lands.
+		if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+			return "", false
+		}
+		return path + "." + name + " draws from a process-seeded PRNG", true
+	}
+	return "", false
+}
+
+// nondetConstruct reports whether n is a bare map range or a
+// nondeterministic call, returning the hazard description.
+func nondetConstruct(pass *lint.Pass, n ast.Node) (string, bool) {
+	switch n := n.(type) {
+	case *ast.RangeStmt:
+		return nondetRange(pass, n)
+	case *ast.CallExpr:
+		return nondetCall(pass, n)
+	}
+	return "", false
 }
 
 func runDeterminismV2(pass *lint.Pass) error {
@@ -100,17 +157,40 @@ func runDeterminismV2(pass *lint.Pass) error {
 	seedNondetFacts(pass)
 	propagateNondetFacts(pass)
 	if pass.Reporting && DeterministicScope[pass.Pkg.Path()] {
+		reportNondetConstructs(pass)
 		reportNondetCalls(pass)
 	}
 	return nil
+}
+
+// reportNondetConstructs reports every unescaped nondeterministic
+// construct written in this (in-scope) package, and every bare escape
+// on one.
+func reportNondetConstructs(pass *lint.Pass) {
+	for _, file := range pass.Files {
+		dirs := lint.FileDirectives(pass.Fset, file)
+		ast.Inspect(file, func(n ast.Node) bool {
+			reason, ok := nondetConstruct(pass, n)
+			if !ok || escaped(pass, dirs, n, orderedEscape) {
+				return true
+			}
+			if _, isRange := n.(*ast.RangeStmt); isRange {
+				pass.Reportf(n.Pos(), "%s; sort the keys or annotate //reprolint:ordered <justification>", reason)
+			} else {
+				pass.Reportf(n.Pos(), "%s, which is nondeterministic in a reproducible package; "+
+					"annotate //reprolint:ordered <justification> if it cannot reach the output", reason)
+			}
+			return true
+		})
+	}
 }
 
 // seedNondetFacts exports a NondetFact for every function of the
 // package that directly contains a nondeterministic construct. A
 // justified //reprolint:ordered on the construct's line kills the seed
 // (the author proved order cannot reach the output); a bare escape
-// seeds anyway — v1 reports bare escapes inside the scope, and outside
-// it the taint simply keeps flowing.
+// seeds anyway — reportNondetConstructs reports bare escapes inside the
+// scope, and outside it the taint simply keeps flowing.
 func seedNondetFacts(pass *lint.Pass) {
 	if nondetExemptPkgs[pass.Pkg.Path()] {
 		return
@@ -144,15 +224,8 @@ func firstNondetConstruct(pass *lint.Pass, dirs *lint.DirectiveIndex, fd *ast.Fu
 		if found {
 			return false
 		}
-		switch n := n.(type) {
-		case *ast.RangeStmt:
-			if r, ok := nondetRange(pass, n); ok && !justified(dirs, n, orderedEscape) {
-				reason, pos, found = r, n.Pos(), true
-			}
-		case *ast.CallExpr:
-			if r, ok := nondetCall(pass, n); ok && !justified(dirs, n, orderedEscape) {
-				reason, pos, found = r, n.Pos(), true
-			}
+		if r, ok := nondetConstruct(pass, n); ok && !justified(dirs, n, orderedEscape) {
+			reason, pos, found = r, n.Pos(), true
 		}
 		return !found
 	})
@@ -160,7 +233,7 @@ func firstNondetConstruct(pass *lint.Pass, dirs *lint.DirectiveIndex, fd *ast.Fu
 }
 
 // justified reports whether node carries a justified escape — without
-// reporting bare escapes (the syntactic analyzers own that diagnostic).
+// reporting bare escapes (the reporting passes own that diagnostic).
 func justified(dirs *lint.DirectiveIndex, node ast.Node, name string) bool {
 	esc, _ := dirs.Escaped(node, name)
 	return esc
@@ -212,8 +285,8 @@ func extendPath(hop string, rest []string) []string {
 // reportNondetCalls reports, once per call site, calls from this
 // (in-scope) package to a fact-holding callee defined outside the
 // deterministic scope. In-scope callees are skipped: their own package
-// already reports the construct (v1) or the boundary call (v2), so the
-// finding lands exactly where the taint crosses into the scope.
+// already reports the construct or the boundary call, so the finding
+// lands exactly where the taint crosses into the scope.
 func reportNondetCalls(pass *lint.Pass) {
 	dirIndexes := map[*ast.File]*lint.DirectiveIndex{}
 	fileOf := func(pos token.Pos) *ast.File {

@@ -373,47 +373,17 @@ type Options struct {
 	Strategies []Strategy
 	// Target selects the property to establish (default TargetMC).
 	Target Target
-	// Workers bounds the worker pool of the per-signal MC analyses run
-	// inside the repair loop (0 = GOMAXPROCS, 1 = sequential).
+	// Workers bounds the worker pool of the per-signal MC analyses and
+	// the candidate scoring run inside the repair loop (0 = GOMAXPROCS,
+	// 1 = sequential). Models come from one canonical solver, so the
+	// worker count never changes the synthesized netlist.
 	Workers int
-	// Portfolio is the width K of the deterministic SAT portfolio
-	// racing each round's queries (0 = auto: a single canonical solver
-	// when the effective worker count is 1, otherwise min(4, workers);
-	// 1 = single canonical solver; clamped to 8). Every model the
-	// portfolio returns comes from the canonical anchor, so K — like
-	// Workers — never changes the synthesized netlist, only how fast
-	// it is reached.
-	Portfolio int
 	// DisableLearntCarry turns off cross-round learnt-clause carrying.
 	// Carried clauses are re-certified against the next round's own
 	// formula by reverse unit propagation, so carrying never changes
 	// which labellings are enumerated — this switch exists for the
 	// differential test that proves it.
 	DisableLearntCarry bool
-	// Trace receives progress lines when non-nil.
-	Trace func(string)
-}
-
-// portfolioWidth resolves Options.Portfolio against the effective
-// worker count.
-func (o *Options) portfolioWidth() int {
-	k := o.Portfolio
-	if k == 0 {
-		if w := par.Workers(o.Workers); w <= 1 {
-			k = 1
-		} else if w < 4 {
-			k = w
-		} else {
-			k = 4
-		}
-	}
-	if k < 1 {
-		k = 1
-	}
-	if k > 8 {
-		k = 8
-	}
-	return k
 }
 
 func (o *Options) fill() {
@@ -445,15 +415,8 @@ type Result struct {
 	Carried     int // remapped learnt clauses offered to a later round's solver
 	CarriedKept int // offered clauses the receiving solver certified and kept
 
-	// Symmetry-breaking tallies.
-	SymmetryPairs   int // interchangeable state pairs detected
-	SymmetryClauses int // lex-leader clauses added
-
-	// SAT aggregates search counters over every round and every
-	// portfolio member; Portfolio aggregates the portfolio-level
-	// counters (Wins maps config name to the queries it settled).
-	SAT       sat.Stats
-	Portfolio sat.PortfolioStats
+	// SAT aggregates the search counters of every round's solver.
+	SAT sat.Stats
 }
 
 // labelVars holds the CNF variables of one state's label: (v1, v0) with
@@ -496,7 +459,7 @@ func (lv labelVars) lits(l Label) (sat.Lit, sat.Lit) {
 // all of them instead of being rediscovered per pair. The label
 // variables are allocated first — state i holds (2i+1, 2i+2) — which
 // is the contract cross-round clause remapping relies on.
-func buildCNF(s *sat.Portfolio, g *sg.Graph) []labelVars {
+func buildCNF(s *sat.Solver, g *sg.Graph) []labelVars {
 	vars := make([]labelVars, g.NumStates())
 	for i := range vars {
 		vars[i] = labelVars{v1: s.NewVar(), v0: s.NewVar()}
@@ -537,116 +500,6 @@ func buildCNF(s *sat.Portfolio, g *sg.Graph) []labelVars {
 	s.AddClause(ups...)
 	s.AddClause(downs...)
 	return vars
-}
-
-// interchangeablePairs finds pairs of states (i, j), i < j, whose
-// transposition is a symmetry of the whole round: equal binary codes,
-// neither is the initial state, swapping them is a graph automorphism
-// (their incident edges map onto each other), and every conflict of the
-// round treats them alike (same er / wit membership). Swapping the
-// labels of such a pair turns any valid labelling into another valid
-// labelling with the same score, the same expansion size and the same
-// compatibility with every strategy seed of the round — so the solver
-// may be restricted to the lexicographically least member of each
-// orbit without losing any distinct repair.
-func interchangeablePairs(g *sg.Graph, confl []conflict) [][2]int {
-	n := g.NumStates()
-	byCode := make(map[uint64][]int, n)
-	for i := 0; i < n; i++ {
-		byCode[g.States[i].Code] = append(byCode[g.States[i].Code], i)
-	}
-	// Exact conflict-membership signature per state: one byte per
-	// conflict, er bit and wit bit.
-	sig := make([][]byte, n)
-	for i := range sig {
-		sig[i] = make([]byte, len(confl))
-	}
-	for k, c := range confl {
-		for _, s := range c.er {
-			sig[s][k] |= 1
-		}
-		for _, s := range c.wit {
-			sig[s][k] |= 2
-		}
-	}
-	var out [][2]int
-	for i := 0; i < n; i++ {
-		group := byCode[g.States[i].Code]
-		for _, j := range group {
-			if j <= i || i == g.Initial || j == g.Initial {
-				continue
-			}
-			if string(sig[i]) != string(sig[j]) {
-				continue
-			}
-			if swapIsAutomorphism(g, i, j) {
-				out = append(out, [2]int{i, j})
-			}
-		}
-	}
-	return out
-}
-
-// swapIsAutomorphism reports whether exchanging states i and j maps the
-// edge set onto itself: every successor and predecessor edge of i must
-// have the φ-image edge at j and vice versa, where φ swaps i and j and
-// fixes everything else.
-func swapIsAutomorphism(g *sg.Graph, i, j int) bool {
-	phi := func(s int) int {
-		switch s {
-		case i:
-			return j
-		case j:
-			return i
-		}
-		return s
-	}
-	key := func(e sg.Edge, mapTo bool) int64 {
-		to := e.To
-		if mapTo {
-			to = phi(to)
-		}
-		return int64(to)<<16 | int64(e.Signal)<<2 | int64(e.Dir&3)
-	}
-	match := func(a, b []sg.Edge) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		ka := make([]int64, len(a))
-		kb := make([]int64, len(b))
-		for x := range a {
-			ka[x] = key(a[x], true) // φ-image of i's edges...
-			kb[x] = key(b[x], false)
-		}
-		sort.Slice(ka, func(x, y int) bool { return ka[x] < ka[y] })
-		sort.Slice(kb, func(x, y int) bool { return kb[x] < kb[y] })
-		for x := range ka {
-			if ka[x] != kb[x] {
-				return false
-			}
-		}
-		return true
-	}
-	return match(g.States[i].Succ, g.States[j].Succ) &&
-		match(g.States[i].Pred, g.States[j].Pred)
-}
-
-// addSymmetryClauses restricts each interchangeable pair (i, j) to
-// label(i) ≤ label(j) in the (v1, v0) 2-bit order via lex-leader
-// clauses, so the solver never enumerates both members of a swap
-// orbit. Returns the number of pairs broken and clauses added.
-func addSymmetryClauses(s *sat.Portfolio, vars []labelVars, pairs [][2]int) (int, int) {
-	clauses := 0
-	for _, p := range pairs {
-		a, b := vars[p[0]], vars[p[1]]
-		a1, a0 := sat.Lit(a.v1), sat.Lit(a.v0)
-		b1, b0 := sat.Lit(b.v1), sat.Lit(b.v0)
-		s.AddClause(a1.Neg(), b1)
-		s.AddClause(a1.Neg(), b1.Neg(), a0.Neg(), b0)
-		s.AddClause(a1, b1, a0.Neg(), b0)
-		clauses += 3
-	}
-	return len(pairs), clauses
 }
 
 // conflict is one separation problem for the inserted signal: the states
@@ -737,10 +590,6 @@ func separationAssumptions(vars []labelVars, c conflict, low bool) []sat.Lit {
 // TargetCSC). The input graph must be output semi-modular.
 func Repair(g *sg.Graph, opts Options) (*Result, error) {
 	opts.fill()
-	trace := opts.Trace
-	if trace == nil {
-		trace = func(string) {}
-	}
 	if !g.OutputSemiModular() {
 		return nil, fmt.Errorf("encode: graph is not output semi-modular; no SI implementation exists")
 	}
@@ -760,7 +609,6 @@ func Repair(g *sg.Graph, opts Options) (*Result, error) {
 		rep := core.NewAnalyzerN(res.G, opts.Workers).CheckGraph()
 		res.Report = rep
 		if score(res.G, rep) == 0 {
-			trace(fmt.Sprintf("round %d: %s satisfied", round, targetName))
 			rsp.SetAttr("satisfied", true)
 			rsp.End()
 			publishRepair(res, round)
@@ -774,13 +622,9 @@ func Repair(g *sg.Graph, opts Options) (*Result, error) {
 		}
 		confl := conflictsOf(res.G, rep)
 		rsp.SetAttr("conflicts", len(confl))
-		trace(fmt.Sprintf("round %d: %d conflicts", round, len(confl)))
 		obs.Info("repair round", "spec", g.Name, "round", round, "conflicts", len(confl))
 		if obs.SinksEnabled() {
 			obs.Publish("repair_round", g.Name, "round", round, "conflicts", len(confl))
-		}
-		for _, c := range confl {
-			trace("  " + c.label)
 		}
 		name := freshSignalName(res.G, len(res.Added))
 
@@ -798,7 +642,7 @@ func Repair(g *sg.Graph, opts Options) (*Result, error) {
 			}
 		}
 		hot = append(hot, name)
-		search := newRoundSearch(res.G, name, opts, hot, confl)
+		search := newRoundSearch(res.G, name, opts, hot)
 		if len(carried) > 0 {
 			// Rehydrate: the previous round's learnt clauses, remapped
 			// onto this round's variables, re-certified against this
@@ -808,7 +652,6 @@ func Repair(g *sg.Graph, opts Options) (*Result, error) {
 			kept, _ := search.solver.ImportLearnts(carried)
 			res.Carried += len(carried)
 			res.CarriedKept += kept
-			trace(fmt.Sprintf("round %d: carried %d learnt clauses, %d certified", round, len(carried), kept))
 		}
 		best, bestScore, bestStrat := (*sg.Graph)(nil), cur, Free
 		var bestLabels []Label
@@ -820,8 +663,6 @@ func Repair(g *sg.Graph, opts Options) (*Result, error) {
 						(count == bestScore && g2.NumStates() < best.NumStates()))
 					if g2 != nil && better {
 						best, bestLabels, bestScore, bestStrat = g2, labels, count, strat
-						trace(fmt.Sprintf("  %s via %s: %d conflicts left (%d states)",
-							c.label, strat, count, g2.NumStates()))
 						if count == 0 {
 							break
 						}
@@ -843,7 +684,6 @@ func Repair(g *sg.Graph, opts Options) (*Result, error) {
 			// itself deterministic, so the two-tier search stays
 			// reproducible at any worker count.
 			search.noStall, search.uncap = true, true
-			trace(fmt.Sprintf("round %d: fast sweep stalled, rescanning exhaustively", round))
 			sweep()
 		case bestScore > 0 && search.models < smallRound:
 			// The fast sweep was cheap (the label space is nearly
@@ -853,17 +693,13 @@ func Repair(g *sg.Graph, opts Options) (*Result, error) {
 			// single-signal repairs hide past the cutoff horizon — so
 			// finish the enumeration under the ordinary model cap.
 			search.noStall = true
-			trace(fmt.Sprintf("round %d: small round (%d models), rescanning without cutoff", round, search.models))
 			sweep()
 		}
 		res.Models += search.models
 		res.Candidates += search.candidates
 		res.Deduped += search.deduped
 		res.Pruned += search.pruned
-		res.SymmetryPairs += search.symPairs
-		res.SymmetryClauses += search.symClauses
 		res.SAT.Add(search.solver.Stats())
-		res.Portfolio.Add(search.solver.PStats())
 		if best == nil {
 			rsp.End()
 			publishRepair(res, round)
@@ -951,8 +787,6 @@ func publishRepair(res *Result, rounds int) {
 	m.Counter("encode_candidates_pruned_total").Add(int64(res.Pruned))
 	m.Counter("encode_learnts_carried_total").Add(int64(res.Carried))
 	m.Counter("encode_learnts_carried_kept_total").Add(int64(res.CarriedKept))
-	m.Counter("encode_symmetry_pairs_total").Add(int64(res.SymmetryPairs))
-	m.Counter("encode_symmetry_clauses_total").Add(int64(res.SymmetryClauses))
 	obs.Publish("repair_done", res.G.Name,
 		"rounds", rounds, "added", len(res.Added),
 		"models", res.Models, "candidates", res.Candidates)
@@ -960,9 +794,8 @@ func publishRepair(res *Result, rounds int) {
 }
 
 // publishSAT reports the run's SAT search statistics, aggregated over
-// every round and every portfolio member — a single round can race
-// several solvers, and a run spans several rounds, so per-solver
-// snapshots would systematically under-count (a no-op without an
+// every round — a run spans several rounds, each with its own solver,
+// so a per-solver snapshot would under-count (a no-op without an
 // enabled observer).
 func publishSAT(res *Result) {
 	o := obs.Get()
@@ -974,25 +807,9 @@ func publishSAT(res *Result) {
 	m.Counter("sat_propagations_total").Add(res.SAT.Propagations)
 	m.Counter("sat_conflicts_total").Add(res.SAT.Conflicts)
 	m.Counter("sat_restarts_total").Add(res.SAT.Restarts)
-	ps := res.Portfolio
-	m.Counter("sat_portfolio_queries_total").Add(ps.Queries)
-	m.Counter("sat_portfolio_escalated_total").Add(ps.Escalated)
-	m.Counter("sat_portfolio_epochs_total").Add(ps.Epochs)
-	m.Counter("sat_learnts_exchanged_total").Add(ps.Exchanged)
-	m.Counter("sat_learnts_import_kept_total").Add(ps.ImpKept)
-	m.Counter("sat_learnts_import_dropped_total").Add(ps.ImpDropped)
-	names := make([]string, 0, len(ps.Wins))
-	for name := range ps.Wins { //reprolint:ordered keys are sorted before use
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		m.Counter("sat_portfolio_wins_total", "config", name).Add(ps.Wins[name])
-	}
 	obs.Publish("sat_stats", res.G.Name,
 		"decisions", res.SAT.Decisions, "conflicts", res.SAT.Conflicts,
-		"propagations", res.SAT.Propagations, "restarts", res.SAT.Restarts,
-		"portfolio_queries", ps.Queries, "learnts_exchanged", ps.Exchanged)
+		"propagations", res.SAT.Propagations, "restarts", res.SAT.Restarts)
 }
 
 // freshSignalName picks a state-signal name not colliding with any
@@ -1044,7 +861,7 @@ const stallWindow = 8
 const smallRound = 200
 
 // roundSearch is the candidate-evaluation engine of one repair round.
-// It owns the round's SAT portfolio (built once from the graph;
+// It owns the round's canonical SAT solver (built once from the graph;
 // per-strategy seeds are assumptions, so learned clauses carry across
 // every conflict and strategy of the round), the mirror-canonical
 // seen-set that dedupes equivalent label vectors across strategies,
@@ -1054,7 +871,7 @@ type roundSearch struct {
 	name string
 	opts Options
 
-	solver    *sat.Portfolio
+	solver    *sat.Solver
 	vars      []labelVars
 	blockVars []int
 	seen      map[string]struct{} // canonical label-vector keys scored this round
@@ -1064,9 +881,6 @@ type roundSearch struct {
 	candidates int // unique label vectors expanded and scored
 	deduped    int // models skipped by the mirror-canonical seen-set
 	pruned     int // candidates abandoned at the scoring budget
-
-	symPairs   int // interchangeable state pairs broken
-	symClauses int // lex-leader clauses added
 
 	// noStall disables the stall cutoff for a rescue sweep; uncap
 	// additionally lifts the per-pair model cap for the exhaustive
@@ -1081,10 +895,9 @@ type roundSearch struct {
 	scratch [scoreChunkMax]expandScratch
 }
 
-func newRoundSearch(g *sg.Graph, name string, opts Options, hot []string, confl []conflict) *roundSearch {
-	solver := sat.NewPortfolio(sat.DefaultConfigs(opts.portfolioWidth()), opts.Workers)
+func newRoundSearch(g *sg.Graph, name string, opts Options, hot []string) *roundSearch {
+	solver := sat.NewWith(sat.Config{Canonical: true})
 	vars := buildCNF(solver, g)
-	pairs, clauses := addSymmetryClauses(solver, vars, interchangeablePairs(g, confl))
 	blockVars := make([]int, 0, 2*len(vars))
 	for _, lv := range vars {
 		blockVars = append(blockVars, lv.v1, lv.v0)
@@ -1093,7 +906,6 @@ func newRoundSearch(g *sg.Graph, name string, opts Options, hot []string, confl 
 		g: g, name: name, opts: opts,
 		solver: solver, vars: vars, blockVars: blockVars,
 		seen: make(map[string]struct{}), hot: hot,
-		symPairs: pairs, symClauses: clauses,
 	}
 }
 
@@ -1152,14 +964,14 @@ func (rs *roundSearch) score(labels []Label, budget int, scr *expandScratch) sco
 // returning the expanded graph with the lowest remaining conflict
 // count (only when strictly below the current score; ties broken
 // towards smaller expansions), its labelling, and that count. Model
-// enumeration stays serial on the round's shared portfolio — it is
+// enumeration stays serial on the round's shared solver — it is
 // cheap next to scoring — while each chunk of unique models fans its
 // Expand + semi-modularity + conflict-count scoring out over the
 // worker pool. The reduction walks candidates in model order with
 // budgets fixed at chunk boundaries, so the selection is deterministic
 // regardless of worker count or completion order.
 //
-// Blocking is global: the canonical anchor enumerates each labelling
+// Blocking is global: the canonical solver enumerates each labelling
 // of the round exactly once, whichever pair first reaches it, and
 // later pairs' enumerations resume past everything already blocked
 // instead of re-deriving (and re-blocking) the same models under a
@@ -1176,13 +988,6 @@ func (rs *roundSearch) tryInsert(c conflict, all []conflict, strat Strategy, tar
 		// only Free may pin.
 		assume = append(assume, sat.Lit(-vars[0].v1))
 	}
-
-	// Each pair's search starts from virgin branching heuristics: saved
-	// phases from a previous pair's enumeration would otherwise steer
-	// the racers' early models into that pair's region of the label
-	// space. The canonical anchor is unaffected — its answers never
-	// depend on search state — and learned clauses are kept everywhere.
-	solver.ResetSearch()
 
 	// Packing strategies: greedily commit the separation constraints of
 	// the other conflicts while the formula stays satisfiable, so one

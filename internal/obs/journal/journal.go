@@ -11,7 +11,7 @@
 //	            signals, composed states, ...)
 //	repair_round / repair_done / sat_stats
 //	            the state-signal insertion loop's per-round progress
-//	            and its SAT-portfolio totals
+//	            and its SAT search totals
 //	run_end     outcome digests: sha-256 of the netlist text, inserted
 //	            signal count, verdict
 //
@@ -134,7 +134,6 @@ func (w *Writer) Close() error {
 // it searches.
 type RunConfig struct {
 	Engine        string `json:"engine"`
-	Portfolio     int    `json:"portfolio"`
 	RepairWorkers int    `json:"repair_workers"`
 	MaxModels     int    `json:"maxmodels"`
 	Parallel      int    `json:"parallel"`
@@ -160,7 +159,6 @@ func PublishRunStart(spec, source string, cfg RunConfig) {
 	obs.Publish("run_start", spec,
 		"spec_sha256", SpecSHA(source),
 		"engine", cfg.Engine,
-		"portfolio", cfg.Portfolio,
 		"repair_workers", cfg.RepairWorkers,
 		"maxmodels", cfg.MaxModels,
 		"parallel", cfg.Parallel,
@@ -292,7 +290,6 @@ func Reconstruct(evs []obs.Event) []Run {
 				SpecSHA: str(ev.Fields, "spec_sha256"),
 				Config: RunConfig{
 					Engine:        str(ev.Fields, "engine"),
-					Portfolio:     int(num(ev.Fields, "portfolio")),
 					RepairWorkers: int(num(ev.Fields, "repair_workers")),
 					MaxModels:     int(num(ev.Fields, "maxmodels")),
 					Parallel:      int(num(ev.Fields, "parallel")),

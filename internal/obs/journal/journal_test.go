@@ -83,7 +83,7 @@ func TestSpecSHA(t *testing.T) {
 func TestReconstruct(t *testing.T) {
 	evs := []obs.Event{
 		{Kind: "run_start", Spec: "ab", Fields: map[string]any{
-			"spec_sha256": "aa", "engine": "explicit", "portfolio": 2.0,
+			"spec_sha256": "aa", "engine": "explicit",
 			"repair_workers": 4.0, "maxmodels": 128.0, "parallel": 1.0,
 			"rs": true, "share": false, "go_version": "go1.23",
 		}},
@@ -107,7 +107,7 @@ func TestReconstruct(t *testing.T) {
 	if r.Spec != "ab" || r.SpecSHA != "aa" || !r.Complete {
 		t.Fatalf("run header = %+v", r)
 	}
-	if r.Config.Engine != "explicit" || r.Config.Portfolio != 2 || r.Config.RepairWorkers != 4 ||
+	if r.Config.Engine != "explicit" || r.Config.RepairWorkers != 4 ||
 		r.Config.MaxModels != 128 || !r.Config.RS || r.Config.Share {
 		t.Fatalf("config = %+v", r.Config)
 	}

@@ -153,6 +153,42 @@ func TestTracerNestingAndMarks(t *testing.T) {
 	}
 }
 
+// TestTracerBounded checks that a tracer past maxRecords keeps at most
+// that many records, and that a mark taken just before an eviction
+// still selects exactly the records finished after it.
+func TestTracerBounded(t *testing.T) {
+	tr := NewTracer()
+	now := time.Now()
+	for i := 0; i < maxRecords-2; i++ {
+		tr.Event("old", 100, now, 0)
+	}
+	mark := tr.Mark()
+	for i := 0; i < 5; i++ {
+		tr.Event("new", 100, now, 0, A("i", i))
+	}
+	if got := tr.Mark(); got != maxRecords+3 {
+		t.Fatalf("Mark = %d, want %d (cursor counts evicted records)", got, maxRecords+3)
+	}
+	if n := len(tr.Records()); n > maxRecords {
+		t.Fatalf("kept %d records, cap %d", n, maxRecords)
+	}
+	since := tr.RecordsSince(mark)
+	if len(since) != 5 {
+		t.Fatalf("RecordsSince(mark) = %d records, want 5", len(since))
+	}
+	for i, r := range since {
+		if r.Name != "new" || r.Attrs[0].Value != i {
+			t.Fatalf("record %d = %+v", i, r)
+		}
+	}
+	for i := 0; i < 3*maxRecords; i++ {
+		tr.Start("span").End()
+	}
+	if n := len(tr.Records()); n > maxRecords {
+		t.Fatalf("kept %d records, cap %d", n, maxRecords)
+	}
+}
+
 func TestChromeTraceFormat(t *testing.T) {
 	tr := NewTracer()
 	sp := tr.Start("parse", A("spec", "x"))

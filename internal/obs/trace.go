@@ -23,11 +23,32 @@ func A(key string, value any) Attr { return Attr{Key: key, Value: value} }
 // complete events on per-worker lanes. All methods are safe for
 // concurrent use and no-op on the nil tracer.
 type Tracer struct {
-	mu    sync.Mutex
-	epoch time.Time
-	cur   *Span
-	recs  []SpanRecord
-	owner *Observer // notified of top-level span boundaries; may be nil
+	mu      sync.Mutex
+	epoch   time.Time
+	cur     *Span
+	recs    []SpanRecord // the newest records, at most maxRecords
+	dropped int          // records evicted from the front of recs
+	owner   *Observer    // notified of top-level span boundaries; may be nil
+}
+
+// maxRecords bounds the records a tracer keeps. A long-lived server has
+// its observer on for its whole life and traces every cache miss, so an
+// unbounded record list would grow by about 1 KB per miss forever.
+// Reaching the bound evicts the oldest quarter at once, which keeps the
+// append amortized O(1). A CLI run records a few hundred spans, far
+// below the bound, so its Chrome trace and run reports are complete.
+const maxRecords = 1 << 14
+
+// appendLocked adds one finished record, evicting the oldest quarter
+// when the bound is reached. Callers hold t.mu.
+func (t *Tracer) appendLocked(rec SpanRecord) {
+	if len(t.recs) == maxRecords {
+		n := copy(t.recs, t.recs[maxRecords/4:])
+		clear(t.recs[n:])
+		t.recs = t.recs[:n]
+		t.dropped += maxRecords / 4
+	}
+	t.recs = append(t.recs, rec)
 }
 
 // NewTracer returns a tracer whose timestamps count from now.
@@ -123,7 +144,7 @@ func (s *Span) End() {
 	if t.cur == s {
 		t.cur = s.parent
 	}
-	t.recs = append(t.recs, rec)
+	t.appendLocked(rec)
 	owner := t.owner
 	t.mu.Unlock()
 	if s.depth == 0 && owner != nil {
@@ -139,7 +160,7 @@ func (t *Tracer) Event(name string, tid int64, start time.Time, d time.Duration,
 		return
 	}
 	t.mu.Lock()
-	t.recs = append(t.recs, SpanRecord{
+	t.appendLocked(SpanRecord{
 		Name:  name,
 		TID:   tid,
 		Start: start.Sub(t.epoch),
@@ -151,30 +172,36 @@ func (t *Tracer) Event(name string, tid int64, start time.Time, d time.Duration,
 
 // Mark returns a cursor into the record stream; RecordsSince(mark)
 // returns everything finished after it. Run reports use the pair to
-// attribute spans to one spec.
+// attribute spans to one spec. The cursor counts every record ever
+// finished, evicted ones included, so it stays valid across eviction.
 func (t *Tracer) Mark() int {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.recs)
+	return t.dropped + len(t.recs)
 }
 
-// RecordsSince copies the records finished after mark.
+// RecordsSince copies the records finished after mark that are still
+// kept.
 func (t *Tracer) RecordsSince(mark int) []SpanRecord {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if mark < 0 || mark > len(t.recs) {
-		mark = len(t.recs)
+	i := mark - t.dropped
+	if mark < 0 || i > len(t.recs) {
+		i = len(t.recs)
 	}
-	return append([]SpanRecord(nil), t.recs[mark:]...)
+	if i < 0 {
+		i = 0
+	}
+	return append([]SpanRecord(nil), t.recs[i:]...)
 }
 
-// Records copies every finished record.
+// Records copies every kept record.
 func (t *Tracer) Records() []SpanRecord { return t.RecordsSince(0) }
 
 // chromeEvent is one trace_event entry (the subset of the format the
@@ -195,7 +222,7 @@ type chromeTrace struct {
 	TraceEvents     []chromeEvent `json:"traceEvents"`
 }
 
-// WriteChromeTrace renders every finished record as Chrome trace_event
+// WriteChromeTrace renders every kept record as Chrome trace_event
 // JSON (complete "X" events plus thread-name metadata), loadable in
 // about:tracing and Perfetto.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {

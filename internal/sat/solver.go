@@ -10,31 +10,23 @@
 // assumptions and model enumeration through blocking clauses. Learned
 // clauses are retained across Solve calls, so a caller that expresses
 // per-query constraints as assumptions (rather than rebuilding the
-// formula) amortizes the search effort over all its queries; selector
-// variables (BlockModelWith) extend the same sharing to enumeration,
-// scoping each enumeration's blocking clauses to its own assumption
-// context.
+// formula) amortizes the search effort over all its queries.
 //
-// Beyond the single CDCL engine, the package provides the pieces the
-// repair loop's deterministic portfolio is built from:
+// Two pieces serve the repair loop's determinism contract:
 //
-//   - Config parameterizes the branching/restart heuristics. The
-//     canonical configuration (Config.Canonical) branches on the
-//     lowest-index unassigned variable, false first, which makes every
-//     answer a pure function of the formula: the first model returned is
-//     the lexicographically least one, regardless of which entailed
-//     clauses the solver happens to have learned or imported. That
-//     invariance is what lets clause sharing and cross-round clause
-//     carrying accelerate the search without ever changing its result.
-//   - SolveBounded runs the search under a conflict budget, the logical
-//     time base of portfolio epochs (wall-clock never decides anything).
+//   - Config.Canonical branches on the lowest-index unassigned variable,
+//     false first, which makes every answer a pure function of the
+//     formula: the first model returned is the lexicographically least
+//     one, regardless of which entailed clauses the solver happens to
+//     have learned or imported.
 //   - ExportLearnts / ImportLearnts move learnt clauses between solvers.
 //     Import re-validates every candidate clause against the receiving
 //     solver's own formula by reverse unit propagation, so importing is
 //     sound even across formulas (the cross-round case) and importing
 //     arbitrary junk can never flip a verdict.
-//   - Portfolio (portfolio.go) races K configurations in deterministic
-//     conflict-budget epochs with learnt-clause exchange at the barriers.
+//
+// Together they let cross-round clause carrying accelerate the search
+// without ever changing its result.
 package sat
 
 import (
@@ -42,36 +34,18 @@ import (
 	"sort"
 )
 
-// Verdict is the outcome of a bounded solving attempt.
-type Verdict int8
-
-// SolveBounded outcomes.
+// Search heuristics of the default (VSIDS) mode.
 const (
-	Unknown Verdict = iota // conflict budget exhausted before a decision
-	Sat                    // a model was found
-	Unsat                  // the formula is unsatisfiable under the assumptions
+	varDecay    = 0.95 // activity decay divisor; higher keeps history longer
+	restartBase = 256  // conflict budget of the first restart interval
 )
 
-// String names the verdict.
-func (v Verdict) String() string {
-	switch v {
-	case Sat:
-		return "sat"
-	case Unsat:
-		return "unsat"
-	default:
-		return "unknown"
-	}
-}
-
-// Config parameterizes a solver's search heuristics. The zero value is
-// the package default: VSIDS branching with phase saving, decay 0.95,
-// first restart after 256 conflicts. Heuristics never affect which
-// formulas are satisfiable, only how fast an answer is found — and in
-// canonical mode, not even which model is found.
+// Config selects a solver's search heuristics. The zero value is the
+// package default: VSIDS branching with phase saving (false initially).
+// Heuristics never affect which formulas are satisfiable, only how fast
+// an answer is found — and in canonical mode, not even which model is
+// found.
 type Config struct {
-	// Name labels the configuration in portfolio win statistics.
-	Name string
 	// Canonical branches on the lowest-index unassigned variable and
 	// always tries false first, ignoring activities and saved phases.
 	// The first model found is then the lexicographically least model
@@ -79,29 +53,6 @@ type Config struct {
 	// clause database; enumeration through blocking clauses yields
 	// models in strictly increasing lexicographic order.
 	Canonical bool
-	// PosPhase makes unassigned variables default to true instead of
-	// false (both as the initial saved phase and as the branch value
-	// when phase saving is off). Ignored in canonical mode.
-	PosPhase bool
-	// NoPhaseSaving disables phase saving: decisions always use
-	// PosPhase rather than the variable's last assigned value.
-	NoPhaseSaving bool
-	// VarDecay is the VSIDS activity decay divisor in (0, 1); higher
-	// values keep activity history longer. 0 means the default 0.95.
-	VarDecay float64
-	// RestartBase is the conflict budget of the first restart interval
-	// (later intervals grow with the learnt database). 0 means 256.
-	RestartBase int
-}
-
-func (c Config) fill() Config {
-	if c.VarDecay == 0 {
-		c.VarDecay = 0.95
-	}
-	if c.RestartBase == 0 {
-		c.RestartBase = 256
-	}
-	return c
 }
 
 // Stats is a snapshot of a solver's search counters.
@@ -157,11 +108,10 @@ const (
 )
 
 type clause struct {
-	lits    []Lit
-	learnt  bool
-	act     float64
-	deleted bool
-	lbd     int32 // literal block distance at learn time (learnt clauses)
+	lits   []Lit
+	learnt bool
+	act    float64
+	lbd    int32 // literal block distance at learn time (learnt clauses)
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; create
@@ -213,7 +163,7 @@ func New() *Solver {
 // NewWith returns an empty, satisfiable solver using the given
 // heuristic configuration.
 func NewWith(cfg Config) *Solver {
-	return &Solver{varInc: 1, claInc: 1, ok: true, cfg: cfg.fill(), lowHint: 1}
+	return &Solver{varInc: 1, claInc: 1, ok: true, cfg: cfg, lowHint: 1}
 }
 
 // Stats returns a snapshot of the solver's search counters.
@@ -233,13 +183,10 @@ func (s *Solver) NewVar() int {
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
 	s.activity = append(s.activity, 0)
-	s.phase = append(s.phase, s.cfg.PosPhase)
+	s.phase = append(s.phase, false)
 	s.watches = append(s.watches, nil, nil)
 	return s.nVars
 }
-
-// NVars returns the number of allocated variables.
-func (s *Solver) NVars() int { return s.nVars }
 
 func (s *Solver) value(l Lit) lbool {
 	v := s.assign[l.Var()-1]
@@ -380,8 +327,7 @@ func (s *Solver) propagate() *clause {
 		// so watchers of index(l) are clauses whose watched literal is
 		// ¬l, which has just become false).
 		// Compact the bucket in place: clauses that keep watching ¬l
-		// are written back through j, moved and deleted clauses are
-		// dropped. Appends triggered for a relocated clause always
+		// are written back through j, moved clauses are dropped. Appends triggered for a relocated clause always
 		// target a different bucket (its new watch literal cannot be
 		// ¬l, which is false), so the in-place scan is safe.
 		ws := s.watches[l.index()]
@@ -396,9 +342,6 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			c := w.c
-			if c.deleted {
-				continue
-			}
 			// Ensure the false literal is lits[1].
 			if c.lits[0] == l.Neg() {
 				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
@@ -450,7 +393,7 @@ func (s *Solver) bumpVar(v int) {
 	}
 }
 
-func (s *Solver) decayVar() { s.varInc /= s.cfg.VarDecay }
+func (s *Solver) decayVar() { s.varInc /= varDecay }
 
 // computeLBD returns the literal block distance of a clause: the number
 // of distinct decision levels among its literals' assignments. Small
@@ -568,61 +511,6 @@ func (s *Solver) backtrackTo(level int) {
 	s.limits = s.limits[:level]
 }
 
-// ResetSearch restores the branching heuristics — saved phases and
-// variable activities — to their initial state without touching the
-// clause database (learned clauses included). Callers sharing one
-// solver across many assumption-scoped enumerations use it so each
-// enumeration's early models track the formula, not the previous
-// enumeration's search trajectory.
-func (s *Solver) ResetSearch() {
-	for i := range s.phase {
-		s.phase[i] = s.cfg.PosPhase
-	}
-	for i := range s.activity {
-		s.activity[i] = 0
-	}
-	s.varInc = 1
-}
-
-// Simplify removes every clause satisfied by the level-0 assignment
-// from the database. Long-lived solvers use it to shed clauses that a
-// root-level fact has retired for good — e.g. enumeration blocking
-// clauses whose selector has been pinned false — so their watch lists
-// stop taxing propagation. It is a no-op mid-search or after the
-// formula has become unsatisfiable.
-func (s *Solver) Simplify() {
-	if !s.ok || len(s.limits) != 0 {
-		return
-	}
-	s.clauses = s.dropSatisfied(s.clauses)
-	s.learnts = s.dropSatisfied(s.learnts)
-}
-
-func (s *Solver) dropSatisfied(cs []*clause) []*clause {
-	out := cs[:0]
-	for _, c := range cs {
-		rooted := false
-		for _, l := range c.lits {
-			if s.value(l) == lTrue && s.level[l.Var()-1] == 0 {
-				rooted = true
-				break
-			}
-		}
-		if rooted {
-			// Watch lists drop the clause lazily via the deleted flag.
-			c.deleted = true
-			continue
-		}
-		out = append(out, c)
-	}
-	// Keep the tail pointers collectable.
-	tail := cs[len(out):]
-	for i := range tail {
-		tail[i] = nil
-	}
-	return out
-}
-
 // pickBranch returns the next decision literal, or 0 when everything is
 // assigned. In canonical mode that is the lowest-index unassigned
 // variable, negated (false first); otherwise the unassigned variable
@@ -647,11 +535,7 @@ func (s *Solver) pickBranch() Lit {
 	if best == 0 {
 		return 0
 	}
-	ph := s.phase[best-1]
-	if s.cfg.NoPhaseSaving {
-		ph = s.cfg.PosPhase
-	}
-	if ph {
+	if s.phase[best-1] {
 		return Lit(best)
 	}
 	return Lit(-best)
@@ -662,24 +546,13 @@ func (s *Solver) pickBranch() Lit {
 // re-solved with different assumptions and extended with further clauses
 // between calls.
 func (s *Solver) Solve(assumptions ...Lit) bool {
-	return s.SolveBounded(-1, assumptions...) == Sat
-}
-
-// SolveBounded is Solve under a conflict budget: it returns Unknown
-// once the search has gone through maxConflicts conflicts without an
-// answer (the solver backtracks to level 0 and keeps everything it
-// learned, so a later call resumes the amortized search). A negative
-// budget is unlimited. Conflict budgets are the portfolio's logical
-// time base: epochs measured in conflicts are reproducible, epochs
-// measured in wall-clock time are not.
-func (s *Solver) SolveBounded(maxConflicts int64, assumptions ...Lit) Verdict {
 	if !s.ok {
-		return Unsat
+		return false
 	}
 	s.backtrackTo(0)
 	if s.propagate() != nil {
 		s.ok = false
-		return Unsat
+		return false
 	}
 
 	// Apply assumptions, each at its own decision level.
@@ -689,26 +562,25 @@ func (s *Solver) SolveBounded(maxConflicts int64, assumptions ...Lit) Verdict {
 			continue
 		case lFalse:
 			s.backtrackTo(0)
-			return Unsat
+			return false
 		}
 		s.limits = append(s.limits, len(s.trail))
 		s.enqueue(a, nil)
 		if s.propagate() != nil {
 			s.backtrackTo(0)
-			return Unsat
+			return false
 		}
 	}
 	assumpLevel := len(s.limits)
 
-	restartBudget := s.cfg.RestartBase
-	remaining := maxConflicts
+	restartBudget := restartBase
 	for {
 		confl := s.propagate()
 		if confl != nil {
 			s.Conflicts++
 			if len(s.limits) <= assumpLevel {
 				s.backtrackTo(0)
-				return Unsat
+				return false
 			}
 			learnt, back := s.analyze(confl)
 			if back < assumpLevel {
@@ -718,7 +590,7 @@ func (s *Solver) SolveBounded(maxConflicts int64, assumptions ...Lit) Verdict {
 			if len(learnt) == 1 {
 				if !s.enqueue(learnt[0], nil) {
 					s.backtrackTo(0)
-					return Unsat
+					return false
 				}
 			} else {
 				// analyze returns its reusable buffer; the kept clause needs
@@ -730,19 +602,12 @@ func (s *Solver) SolveBounded(maxConflicts int64, assumptions ...Lit) Verdict {
 				s.enqueue(learnt[0], c)
 			}
 			s.decayVar()
-			if remaining > 0 {
-				remaining--
-				if remaining == 0 {
-					s.backtrackTo(0)
-					return Unknown
-				}
-			}
 			restartBudget--
 			if restartBudget <= 0 {
 				// Restart: keep learnt clauses, drop the search tree.
 				s.Restarts++
 				s.backtrackTo(assumpLevel)
-				restartBudget = s.cfg.RestartBase + len(s.learnts)/2
+				restartBudget = restartBase + len(s.learnts)/2
 			}
 			continue
 		}
@@ -754,7 +619,7 @@ func (s *Solver) SolveBounded(maxConflicts int64, assumptions ...Lit) Verdict {
 				s.model[v-1] = s.assign[v-1] == lTrue
 			}
 			s.backtrackTo(0)
-			return Sat
+			return true
 		}
 		s.Decisions++
 		s.limits = append(s.limits, len(s.trail))
@@ -783,20 +648,24 @@ func (s *Solver) Model() []bool {
 // given variables (all variables when vars is empty), enabling model
 // enumeration. It returns false when the formula becomes unsatisfiable.
 func (s *Solver) BlockModel(vars ...int) bool {
-	return s.AddClause(s.blockLits(nil, vars)...)
-}
-
-// BlockModelWith is BlockModel with an escape literal: it adds the
-// clause (escape ∨ ¬model), which forbids the model only while
-// escape.Neg() is assumed. Dropping that assumption leaves the clause
-// vacuously satisfiable, so the blocking is scoped to one assumption
-// context while the solver — and every clause it has learned — stays
-// shared across contexts. Callers enumerate by allocating a fresh
-// selector variable per enumeration, assuming its positive literal,
-// and blocking each model with escape = ¬selector; a later enumeration
-// under a new selector sees the earlier enumeration's models again.
-func (s *Solver) BlockModelWith(escape Lit, vars ...int) bool {
-	return s.AddClause(s.blockLits([]Lit{escape}, vars)...)
+	if s.model == nil {
+		panic("sat: no model to block")
+	}
+	if len(vars) == 0 {
+		vars = make([]int, s.nVars)
+		for i := range vars {
+			vars[i] = i + 1
+		}
+	}
+	lits := make([]Lit, 0, len(vars))
+	for _, v := range vars {
+		if s.model[v-1] {
+			lits = append(lits, Lit(-v))
+		} else {
+			lits = append(lits, Lit(v))
+		}
+	}
+	return s.AddClause(lits...)
 }
 
 // ExportLearnts returns a snapshot of the solver's learnt knowledge as
@@ -807,8 +676,7 @@ func (s *Solver) BlockModelWith(escape Lit, vars ...int) bool {
 // the snapshot is sorted by (length, lexicographic) and deduplicated,
 // so two solvers holding the same knowledge export the same bytes; max
 // truncates the result (0 means no cap). Export requires decision level
-// 0 — which every Solve/SolveBounded call restores — and returns nil
-// mid-search.
+// 0 — which every Solve call restores — and returns nil mid-search.
 func (s *Solver) ExportLearnts(maxLen, maxLBD, max int) [][]Lit {
 	if !s.ok || len(s.limits) != 0 {
 		return nil
@@ -819,7 +687,7 @@ func (s *Solver) ExportLearnts(maxLen, maxLBD, max int) [][]Lit {
 	}
 	buf := make([]Lit, 0, maxLen)
 	for _, c := range s.learnts {
-		if c.deleted || int(c.lbd) > maxLBD || len(c.lits) > maxLen+len(s.trail) {
+		if int(c.lbd) > maxLBD || len(c.lits) > maxLen+len(s.trail) {
 			// The length pre-filter is loose (stripping can only shrink);
 			// the exact check happens after reduction.
 			continue
@@ -972,28 +840,4 @@ func litSliceEqual(a, b []Lit) bool {
 		}
 	}
 	return true
-}
-
-// blockLits builds the blocking clause of the last model over vars
-// (all variables when empty), prefixed by the given extra literals.
-func (s *Solver) blockLits(extra []Lit, vars []int) []Lit {
-	if s.model == nil {
-		panic("sat: no model to block")
-	}
-	if len(vars) == 0 {
-		vars = make([]int, s.nVars)
-		for i := range vars {
-			vars[i] = i + 1
-		}
-	}
-	lits := make([]Lit, 0, len(extra)+len(vars))
-	lits = append(lits, extra...)
-	for _, v := range vars {
-		if s.model[v-1] {
-			lits = append(lits, Lit(-v))
-		} else {
-			lits = append(lits, Lit(v))
-		}
-	}
-	return lits
 }

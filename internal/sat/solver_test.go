@@ -374,3 +374,230 @@ func TestStatisticsAdvance(t *testing.T) {
 		t.Fatal("expected propagations")
 	}
 }
+
+// randomCNF builds a reproducible random CNF over n variables.
+func randomCNF(rr *rand.Rand, n, m int) [][]Lit {
+	cnf := make([][]Lit, m)
+	for i := range cnf {
+		k := 1 + rr.Intn(3)
+		cl := make([]Lit, 0, k)
+		for j := 0; j < k; j++ {
+			v := 1 + rr.Intn(n)
+			if rr.Intn(2) == 0 {
+				cl = append(cl, Lit(v))
+			} else {
+				cl = append(cl, Lit(-v))
+			}
+		}
+		cnf[i] = cl
+	}
+	return cnf
+}
+
+func addAll(s *Solver, n int, cnf [][]Lit) bool {
+	for i := 0; i < n; i++ {
+		s.NewVar()
+	}
+	ok := true
+	for _, cl := range cnf {
+		if !s.AddClause(cl...) {
+			ok = false
+		}
+	}
+	return ok
+}
+
+// lexLeastModel finds the lexicographically least satisfying assignment
+// by brute force (variable 1 most significant, false < true), or nil.
+func lexLeastModel(n int, cnf [][]Lit) []bool {
+	for m := 0; m < 1<<uint(n); m++ {
+		model := make([]bool, n)
+		for v := 1; v <= n; v++ {
+			model[v-1] = m>>uint(n-v)&1 == 1
+		}
+		ok := true
+		for _, cl := range cnf {
+			sat := false
+			for _, l := range cl {
+				if model[l.Var()-1] == l.Sign() {
+					sat = true
+					break
+				}
+			}
+			if !sat {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return model
+		}
+	}
+	return nil
+}
+
+func modelsEqual(a, b []bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// The canonical configuration's keystone property: the first model is
+// the lexicographically least one, whatever the solver has learned.
+func TestCanonicalLexLeastModel(t *testing.T) {
+	f := func(seed int64) bool {
+		rr := rand.New(rand.NewSource(seed))
+		n := 2 + rr.Intn(7)
+		cnf := randomCNF(rr, n, 1+rr.Intn(3*n))
+		want := lexLeastModel(n, cnf)
+		s := NewWith(Config{Canonical: true})
+		okAdd := addAll(s, n, cnf)
+		if want == nil {
+			return !(okAdd && s.Solve())
+		}
+		if !okAdd || !s.Solve() {
+			return false
+		}
+		return modelsEqual(s.Model(), want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Canonical enumeration yields models in strictly increasing
+// lexicographic order, and the sequence is invariant to learnt-clause
+// imports from another solver.
+func TestCanonicalEnumerationInvariantToImports(t *testing.T) {
+	f := func(seed int64) bool {
+		rr := rand.New(rand.NewSource(seed))
+		n := 2 + rr.Intn(6)
+		cnf := randomCNF(rr, n, 1+rr.Intn(3*n))
+
+		enumerate := func(s *Solver, okAdd bool) [][]bool {
+			var out [][]bool
+			if !okAdd {
+				return out
+			}
+			for s.Solve() {
+				out = append(out, s.Model())
+				if len(out) > 1<<uint(n) {
+					return nil
+				}
+				if !s.BlockModel() {
+					break
+				}
+			}
+			return out
+		}
+
+		plain := NewWith(Config{Canonical: true})
+		ref := enumerate(plain, addAll(plain, n, cnf))
+
+		// A donor solver with the default (VSIDS) heuristics works the
+		// same formula and donates everything it learned.
+		donor := New()
+		donorOK := addAll(donor, n, cnf)
+		donor.Solve()
+		fed := NewWith(Config{Canonical: true})
+		fedOK := addAll(fed, n, cnf)
+		if donorOK && fedOK {
+			fed.ImportLearnts(donor.ExportLearnts(16, 16, 0))
+		}
+		got := enumerate(fed, fedOK)
+
+		if len(ref) != len(got) {
+			return false
+		}
+		for i := range ref {
+			if !modelsEqual(ref[i], got[i]) {
+				return false
+			}
+		}
+		// Strictly increasing lexicographic order.
+		for i := 1; i < len(ref); i++ {
+			less := false
+			for v := 0; v < n; v++ {
+				if ref[i-1][v] != ref[i][v] {
+					less = !ref[i-1][v]
+					break
+				}
+			}
+			if !less {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestExportImportRoundTrip(t *testing.T) {
+	f := func(seed int64) bool {
+		rr := rand.New(rand.NewSource(seed))
+		n := 3 + rr.Intn(7)
+		cnf := randomCNF(rr, n, 2+rr.Intn(3*n))
+
+		a := New()
+		aOK := addAll(a, n, cnf)
+		aSat := aOK && a.Solve()
+
+		b := New()
+		bOK := addAll(b, n, cnf)
+		if aOK && bOK {
+			exported := a.ExportLearnts(16, 16, 0)
+			kept, dropped := b.ImportLearnts(exported)
+			// Same formula: everything a learned is entailed in b, so
+			// nothing may be dropped for failing certification (drops
+			// can only come from level-0-satisfied candidates).
+			if kept+dropped != len(exported) {
+				return false
+			}
+		}
+		bSat := bOK && b.Solve()
+		return aSat == bSat
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Importing arbitrary junk must never flip a verdict or perturb the
+// canonical model: uncertifiable clauses are dropped at the door.
+func TestImportJunkNeverFlips(t *testing.T) {
+	f := func(seed int64) bool {
+		rr := rand.New(rand.NewSource(seed))
+		n := 2 + rr.Intn(6)
+		cnf := randomCNF(rr, n, 1+rr.Intn(3*n))
+		junk := randomCNF(rr, n+2, 1+rr.Intn(8)) // vars may be out of range
+
+		ref := NewWith(Config{Canonical: true})
+		refOK := addAll(ref, n, cnf)
+		refSat := refOK && ref.Solve()
+
+		s := NewWith(Config{Canonical: true})
+		sOK := addAll(s, n, cnf)
+		if sOK {
+			s.ImportLearnts(junk)
+		}
+		sSat := sOK && s.Solve()
+		if refSat != sSat {
+			return false
+		}
+		if refSat && !modelsEqual(ref.Model(), s.Model()) {
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

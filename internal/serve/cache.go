@@ -72,7 +72,7 @@ func stageKey(stage string, inputs ...string) string {
 // Config is the synthesis configuration a request selects. Only fields
 // that can change a stage's output participate in that stage's cache
 // key: MaxModels fingerprints the repair stage, RS and Share the
-// netlist stage. Worker counts and portfolio width are
+// netlist stage. Worker counts are
 // deliberately absent — the repo's determinism guarantee (byte-identical
 // netlists at any parallelism) is what proves they can never make a
 // cached entry stale.
