@@ -9,7 +9,8 @@
 // the noise-rejecting estimate). Exit status: 0 when no stage exceeds
 // its budget, 1 on at least one regression, 2 on usage or
 // incomparable-report errors (including a cross-machine fingerprint
-// mismatch without -allow-cross-machine).
+// mismatch without -allow-cross-machine, and reports taken at
+// different GOMAXPROCS, which no flag overrides).
 //
 // With -loadgen the two arguments are bench.LoadReport files from
 // cmd/loadgen instead, and the gate is each shared phase's p95 latency

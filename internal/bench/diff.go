@@ -19,6 +19,9 @@
 //     are not commensurable. Unless explicitly overridden, a diff
 //     across Go versions, CPU models or GOGC settings refuses to run
 //     rather than report nonsense.
+//   - GOMAXPROCS refusal. The analyze and repair stages size their
+//     worker pools from GOMAXPROCS, so even allocs/op changes with it.
+//     A diff across GOMAXPROCS settings refuses to run, override or not.
 package bench
 
 import (
@@ -46,6 +49,7 @@ type DiffOptions struct {
 	AllocBudget float64
 	// AllowCrossMachine permits comparing reports whose machine
 	// fingerprints differ; the mismatch is still recorded in the result.
+	// It never permits differing GOMAXPROCS.
 	AllowCrossMachine bool
 }
 
@@ -179,8 +183,14 @@ func findEntry(entries []Entry, name string) *Entry {
 // Diff compares old against new. It refuses cross-machine comparisons
 // unless opts.AllowCrossMachine; in that mode only the allocs/op gate
 // keeps its full strength, since allocation counts survive a machine
-// change and wall time does not.
+// change and wall time does not. It always refuses reports taken at
+// different GOMAXPROCS: the worker pools of the analyze and repair
+// stages follow it, so neither metric survives that change.
 func Diff(oldR, newR *Report, opts DiffOptions) (*DiffResult, error) {
+	if oldR.GOMAXPROCS != newR.GOMAXPROCS {
+		return nil, fmt.Errorf("bench: refusing comparison across GOMAXPROCS (old %d, new %d): the analyze and repair worker pools follow it, so time/op and allocs/op both change; re-run at GOMAXPROCS=%d",
+			oldR.GOMAXPROCS, newR.GOMAXPROCS, oldR.GOMAXPROCS)
+	}
 	res := &DiffResult{
 		OldFingerprint: Fingerprint(oldR),
 		NewFingerprint: Fingerprint(newR),

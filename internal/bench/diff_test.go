@@ -160,6 +160,30 @@ func TestDiffRefusesCrossMachine(t *testing.T) {
 	}
 }
 
+// TestDiffRefusesDifferentGOMAXPROCS: the analyze and repair stages
+// size their worker pools from GOMAXPROCS, so a report taken at another
+// setting differs in allocs/op as well as time/op. Diff refuses it even
+// when cross-machine comparison is allowed.
+func TestDiffRefusesDifferentGOMAXPROCS(t *testing.T) {
+	oldR := report(1_000_000, 5_000)
+	oldR.GOMAXPROCS = 1
+	newR := report(1_000_000, 5_000)
+	newR.GOMAXPROCS = 2
+
+	for _, opts := range []DiffOptions{{}, {AllowCrossMachine: true}} {
+		if _, err := Diff(oldR, newR, opts); err == nil {
+			t.Fatalf("diff across GOMAXPROCS 1 and 2 must refuse (AllowCrossMachine=%v)", opts.AllowCrossMachine)
+		} else if !strings.Contains(err.Error(), "GOMAXPROCS") {
+			t.Fatalf("unexpected refusal message: %v", err)
+		}
+	}
+
+	newR.GOMAXPROCS = 1
+	if _, err := Diff(oldR, newR, DiffOptions{}); err != nil {
+		t.Fatalf("equal GOMAXPROCS must compare: %v", err)
+	}
+}
+
 // TestDiffAllocGateIsMachineIndependent: even in a permissive
 // cross-machine diff, allocs/op growth past its tight budget gates.
 func TestDiffAllocGate(t *testing.T) {

@@ -729,35 +729,6 @@ func (a *Analyzer) CheckGraph() *Report {
 	return rep
 }
 
-// CheckGraphBudget is CheckGraph with a branch-and-bound budget: the
-// signals are scanned sequentially in order and the scan stops once
-// the number of violating regions reaches budget (budget <= 0 means
-// no bound, equivalent to a sequential CheckGraph). A report with
-// fewer than budget violations is complete and exact; one with budget
-// or more means "at least this many" — which is all a candidate
-// scorer needs to discard a graph against an incumbent with fewer
-// violations. The scan is deliberately sequential: the insertion
-// loop's candidate scoring fans out one goroutine per candidate, so
-// nesting a per-signal fan-out underneath would only oversubscribe
-// the pool.
-func (a *Analyzer) CheckGraphBudget(budget int, hot ...string) *Report {
-	rep := &Report{G: a.G, A: a}
-	violations := 0
-	for _, sig := range a.scanOrder(hot) {
-		results := a.checkSignal(sig)
-		rep.Results = append(rep.Results, results...)
-		for i := range results {
-			if results[i].Violation != nil {
-				violations++
-			}
-		}
-		if budget > 0 && violations >= budget {
-			break
-		}
-	}
-	return rep
-}
-
 // scanOrder lists the non-input signals in index order, with the hot
 // names (likely violators, in the caller's priority order) moved to
 // the front so a bad graph burns a budget after a couple of signals
@@ -794,14 +765,19 @@ func (a *Analyzer) scanOrder(hot []string) []int {
 	return sigs
 }
 
-// CountViolationsBudget is the count-only twin of CheckGraphBudget:
-// same scan order, same early exit, same per-signal verdicts, but no
-// report is assembled and — decisively for the candidate-scoring hot
-// path — the success-path cube shrinking is skipped, since greedy
-// literal dropping can never turn a found cover into a violation (or
-// vice versa). The returned count is exact below budget and "at least
-// budget" otherwise, exactly as CheckGraphBudget's caller would count
-// its report's violations.
+// CountViolationsBudget counts the graph's MC-violating excitation
+// regions with a branch-and-bound budget; it is the repair loop's
+// candidate scorer. It scans the non-input signals sequentially, hot
+// names first (scanOrder), and stops once the count reaches budget
+// (budget <= 0 means no bound). The count is exact below budget and
+// means "at least budget" otherwise, which is all a scorer needs to
+// discard a candidate against an incumbent with fewer violations. Each
+// signal gets the same verdict as in CheckGraph, but no report is
+// assembled and the success-path cube shrinking is skipped, since
+// greedy literal dropping can never turn a found cover into a
+// violation (or vice versa). The scan is deliberately sequential: the
+// repair loop already scores candidates in parallel, so a per-signal
+// fan-out underneath would only oversubscribe the pool.
 func (a *Analyzer) CountViolationsBudget(budget int, hot ...string) int {
 	violations := 0
 	for _, sig := range a.scanOrder(hot) {

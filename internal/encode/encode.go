@@ -977,6 +977,15 @@ func (rs *roundSearch) score(labels []Label, budget int, scr *expandScratch) sco
 // instead of re-deriving (and re-blocking) the same models under a
 // fresh selector. The seen-set still guards scoring — mirror twins
 // arrive as distinct models but share a canonical key.
+//
+// Within one pair every Solve repeats the same assumptions, so the
+// solver resumes each call from the model BlockModel just blocked
+// (sat's resumable enumeration) rather than re-descending from level
+// 0; a packing probe or the next pair, with other assumptions, starts
+// from level 0. The label variables are the blocking projection, and
+// the auxiliary up/down variables are functions of them that are never
+// decided, so BlockModel always blocks by the short decision clause
+// here, and resumes whenever the search decided beyond the assumptions.
 func (rs *roundSearch) tryInsert(c conflict, all []conflict, strat Strategy, target int) (*sg.Graph, []Label, int) {
 	solver, vars := rs.solver, rs.vars
 	assume := assumptionsFor(strat, c, vars)

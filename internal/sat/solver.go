@@ -27,6 +27,16 @@
 //
 // Together they let cross-round clause carrying accelerate the search
 // without ever changing its result.
+//
+// Canonical enumeration is resumable. A canonical Solve that answers
+// SAT keeps its trail; BlockModel then blocks the model by the negation
+// of that trail's decisions, backjumps one level and asserts the flipped
+// deepest decision, and the next Solve under the same assumptions
+// carries on from there instead of redoing the descent from level 0.
+// Every other call (Solve under other assumptions, AddClause,
+// ImportLearnts, ExportLearnts, NewVar) first returns the solver to
+// decision level 0. Resuming changes no answer: any canonical run ends
+// at the lexicographically least model wherever it starts.
 package sat
 
 import (
@@ -141,9 +151,18 @@ type Solver struct {
 	lbdMark []int // level → generation stamp, scratch for LBD computation
 	lbdGen  int
 
-	seenMark   []int // variable → generation stamp, scratch for analyze
+	seenMark   []int // variable → generation stamp, scratch for analyze and BlockModel
 	seenGen    int
 	analyzeBuf []Lit // reusable learnt-clause buffer for analyze
+
+	// Resumable canonical enumeration. kept marks a trail left above
+	// level 0 as a valid search state under keptAssume, whose assumption
+	// levels are the first keptLevel; atModel marks that the trail is
+	// still the complete assignment of the last model.
+	kept       bool
+	atModel    bool
+	keptAssume []Lit
+	keptLevel  int
 
 	// Statistics, exported for benchmarking and diagnostics.
 	Conflicts    int64
@@ -178,6 +197,7 @@ func (s *Solver) Stats() Stats {
 
 // NewVar allocates a fresh variable and returns its (1-based) number.
 func (s *Solver) NewVar() int {
+	s.release()
 	s.nVars++
 	s.assign = append(s.assign, lUndef)
 	s.level = append(s.level, 0)
@@ -201,14 +221,12 @@ func (s *Solver) value(l Lit) lbool {
 
 // AddClause adds a clause to the solver. It returns false when the clause
 // makes the formula trivially unsatisfiable (empty clause, or a conflicting
-// unit at level 0). Adding clauses is only supported at decision level 0
-// (i.e. before or between Solve calls).
+// unit at level 0). It first returns the solver to decision level 0,
+// dropping a trail kept for resumed enumeration.
 func (s *Solver) AddClause(lits ...Lit) bool {
+	s.release()
 	if !s.ok {
 		return false
-	}
-	if len(s.limits) != 0 {
-		panic("sat: AddClause during search")
 	}
 	// Normalize: sort, drop duplicates and false literals, detect
 	// tautologies and satisfied clauses.
@@ -511,6 +529,13 @@ func (s *Solver) backtrackTo(level int) {
 	s.limits = s.limits[:level]
 }
 
+// release drops a trail kept for resumed enumeration: the solver
+// returns to decision level 0.
+func (s *Solver) release() {
+	s.kept, s.atModel = false, false
+	s.backtrackTo(0)
+}
+
 // pickBranch returns the next decision literal, or 0 when everything is
 // assigned. In canonical mode that is the lowest-index unassigned
 // variable, negated (false first); otherwise the unassigned variable
@@ -544,12 +569,18 @@ func (s *Solver) pickBranch() Lit {
 // Solve decides satisfiability under the given assumption literals. On a
 // SAT answer the model is available through Value/Model. The solver can be
 // re-solved with different assumptions and extended with further clauses
-// between calls.
+// between calls. In canonical mode a Solve under the same assumptions as
+// the previous one resumes from the trail that call (and BlockModel)
+// left; any other Solve starts from decision level 0.
 func (s *Solver) Solve(assumptions ...Lit) bool {
 	if !s.ok {
 		return false
 	}
-	s.backtrackTo(0)
+	if s.kept && slices.Equal(assumptions, s.keptAssume) {
+		s.kept, s.atModel = false, false
+		return s.search(assumptions, s.keptLevel)
+	}
+	s.release()
 	if s.propagate() != nil {
 		s.ok = false
 		return false
@@ -571,14 +602,21 @@ func (s *Solver) Solve(assumptions ...Lit) bool {
 			return false
 		}
 	}
-	assumpLevel := len(s.limits)
+	return s.search(assumptions, len(s.limits))
+}
 
+// search runs CDCL from the current trail, whose first assumpLevel
+// decision levels hold the assumptions.
+func (s *Solver) search(assumptions []Lit, assumpLevel int) bool {
 	restartBudget := restartBase
 	for {
 		confl := s.propagate()
 		if confl != nil {
 			s.Conflicts++
 			if len(s.limits) <= assumpLevel {
+				if len(s.limits) == 0 {
+					s.ok = false // a conflict at level 0 refutes the formula itself
+				}
 				s.backtrackTo(0)
 				return false
 			}
@@ -613,12 +651,19 @@ func (s *Solver) Solve(assumptions ...Lit) bool {
 		}
 		l := s.pickBranch()
 		if l == 0 {
-			// Complete assignment: record the model.
+			// Complete assignment: record the model. A canonical search
+			// keeps the trail for BlockModel and a resumed Solve.
 			s.model = make([]bool, s.nVars)
 			for v := 1; v <= s.nVars; v++ {
 				s.model[v-1] = s.assign[v-1] == lTrue
 			}
-			s.backtrackTo(0)
+			if s.cfg.Canonical {
+				s.kept, s.atModel = true, true
+				s.keptAssume = append(s.keptAssume[:0], assumptions...)
+				s.keptLevel = assumpLevel
+			} else {
+				s.backtrackTo(0)
+			}
 			return true
 		}
 		s.Decisions++
@@ -646,11 +691,40 @@ func (s *Solver) Model() []bool {
 
 // BlockModel adds a clause forbidding the last model restricted to the
 // given variables (all variables when vars is empty), enabling model
-// enumeration. It returns false when the formula becomes unsatisfiable.
+// enumeration. It returns false when blocking makes the formula
+// unsatisfiable at decision level 0; true does not promise another
+// model.
+//
+// Straight after a canonical SAT answer whose decisions (assumption
+// levels included) all lie in vars, the clause is the negation of those
+// decisions instead. They propagate to that one model, so the clause
+// excludes exactly what the projection clause would. BlockModel then
+// backjumps one level and asserts the flipped deepest decision with the
+// clause as its reason, and the next Solve under the same assumptions
+// resumes there. Otherwise it returns to level 0 and adds the
+// projection clause.
 func (s *Solver) BlockModel(vars ...int) bool {
 	if s.model == nil {
 		panic("sat: no model to block")
 	}
+	if s.atModel {
+		if lits := s.decisionClause(vars); lits != nil {
+			k := len(lits)
+			if k <= s.keptLevel || k == 1 {
+				// The deepest decision is an assumption, or the clause is
+				// a unit: there is no search level to resume at.
+				return s.AddClause(lits...)
+			}
+			s.atModel = false
+			s.backtrackTo(k - 1)
+			c := &clause{lits: lits}
+			s.clauses = append(s.clauses, c)
+			s.watch(c)
+			s.enqueue(lits[0], c)
+			return true
+		}
+	}
+	s.release()
 	if len(vars) == 0 {
 		vars = make([]int, s.nVars)
 		for i := range vars {
@@ -668,6 +742,36 @@ func (s *Solver) BlockModel(vars ...int) bool {
 	return s.AddClause(lits...)
 }
 
+// decisionClause returns the negations of the kept trail's decision
+// literals, deepest first, or nil when one of them lies outside vars
+// (empty vars means every variable) or the trail holds no decision.
+// The two deepest literals lead, so they are the ones watched.
+func (s *Solver) decisionClause(vars []int) []Lit {
+	k := len(s.limits)
+	if k == 0 {
+		return nil
+	}
+	if len(vars) > 0 {
+		if len(s.seenMark) < s.nVars {
+			s.seenMark = make([]int, s.nVars)
+		}
+		s.seenGen++
+		for _, v := range vars {
+			s.seenMark[v-1] = s.seenGen
+		}
+		for _, lo := range s.limits {
+			if s.seenMark[s.trail[lo].Var()-1] != s.seenGen {
+				return nil
+			}
+		}
+	}
+	lits := make([]Lit, k)
+	for i, lo := range s.limits {
+		lits[k-1-i] = s.trail[lo].Neg()
+	}
+	return lits
+}
+
 // ExportLearnts returns a snapshot of the solver's learnt knowledge as
 // plain clauses: every level-0 fact as a unit clause, plus every live
 // learnt clause with at most maxLen literals and literal block distance
@@ -675,10 +779,12 @@ func (s *Solver) BlockModel(vars ...int) bool {
 // skipped, false literals stripped). Clauses are internally sorted and
 // the snapshot is sorted by (length, lexicographic) and deduplicated,
 // so two solvers holding the same knowledge export the same bytes; max
-// truncates the result (0 means no cap). Export requires decision level
-// 0 — which every Solve call restores — and returns nil mid-search.
+// truncates the result (0 means no cap). Export first returns the
+// solver to decision level 0, dropping a trail kept for resumed
+// enumeration.
 func (s *Solver) ExportLearnts(maxLen, maxLBD, max int) [][]Lit {
-	if !s.ok || len(s.limits) != 0 {
+	s.release()
+	if !s.ok {
 		return nil
 	}
 	var out [][]Lit
@@ -741,9 +847,12 @@ func (s *Solver) ExportLearnts(maxLen, maxLBD, max int) [][]Lit {
 // importing is sound whatever the clauses' provenance: another solver
 // on the same formula, a previous repair round's solver on a smaller
 // formula, or fuzzer junk. Certified units are asserted at level 0.
-// Returns how many clauses were kept and how many dropped.
+// Import first returns the solver to decision level 0, dropping a trail
+// kept for resumed enumeration. Returns how many clauses were kept and
+// how many dropped.
 func (s *Solver) ImportLearnts(clauses [][]Lit) (kept, dropped int) {
-	if !s.ok || len(s.limits) != 0 {
+	s.release()
+	if !s.ok {
 		return 0, len(clauses)
 	}
 	buf := make([]Lit, 0, 16)
