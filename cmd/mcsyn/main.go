@@ -32,7 +32,10 @@
 //	                (0 = follow -parallel, 1 = sequential); models come
 //	                from one canonical SAT solver, so N never changes
 //	                the output
-//	-cpuprofile write a CPU profile to the given file
+//	-cpuprofile write a CPU profile to the given file (in every mode,
+//	            -serve included); samples carry a pprof "stage" label,
+//	            so go tool pprof -tagfocus=stage=repair splits them by
+//	            pipeline stage
 //	-memprofile write a heap profile at exit to the given file
 //	-benchjson  benchmark the Table-1 pipeline stages (parse, reach,
 //	            analyze, repair, cover, verify) and write a JSON report
@@ -65,8 +68,6 @@
 //	            per-stage wall and allocation counters)
 //	-serve-obs a  serve the live ops plane on address a — /metrics,
 //	            /progress (SSE event stream), /trace, /debug/pprof/
-//	-profile-stages  capture per-stage CPU/alloc profiles; top-N symbol
-//	            summaries land in the -report JSON (-profile-top N)
 //	-v          structured slog progress logging to stderr
 //
 // All output files — profiles included — are flushed on every exit
@@ -92,7 +93,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/journal"
 	"repro/internal/obs/obshttp"
-	"repro/internal/obs/prof"
 	"repro/internal/serve"
 	"repro/internal/stg"
 	"repro/internal/synth"
@@ -117,7 +117,6 @@ type session struct {
 	jw      *journal.Writer
 	srv     *obshttp.Server
 	synsrv  *serve.Server
-	prof    *prof.Profiler
 }
 
 var ses session
@@ -204,7 +203,6 @@ func (s *session) begin() (finish func(spec string, fill func(r *obs.RunReport))
 		if fill != nil {
 			fill(r)
 		}
-		r.Profiles = s.prof.Take()
 		s.reports = append(s.reports, r)
 	}
 }
@@ -306,8 +304,6 @@ func main() {
 	serveShards := flag.Int("serve-shards", 0, "synthesis service pipeline shards (0 = GOMAXPROCS)")
 	serveQueue := flag.Int("serve-queue", 0, "synthesis service queued jobs beyond running before 429 backpressure (0 = 2x shards)")
 	serveCache := flag.Int("serve-cache", 0, "synthesis service stage-cache entry cap (0 = 1024)")
-	profileStages := flag.Bool("profile-stages", false, "capture per-stage CPU and allocation profiles; top-N symbol summaries land in the -report JSON")
-	profileTop := flag.Int("profile-top", 0, "symbols per stage-profile summary (0 = default 5)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON trace to this file at exit")
 	reportOut := flag.String("report", "", "write a machine-readable JSON run report to this file at exit")
 	verbose := flag.Bool("v", false, "structured progress logging (slog) to stderr")
@@ -316,7 +312,7 @@ func main() {
 	ses.memPath = *memprofile
 	ses.metricsPath, ses.tracePath, ses.reportPath = *metricsOut, *traceOut, *reportOut
 	if *metricsOut != "" || *traceOut != "" || *reportOut != "" || *verbose ||
-		*journalOut != "" || *serveObs != "" || *serveAddr != "" || *profileStages {
+		*journalOut != "" || *serveObs != "" || *serveAddr != "" {
 		var lg *slog.Logger
 		if *verbose {
 			lg = slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -358,9 +354,15 @@ func main() {
 		ses.o.AddSink(srv)
 		fmt.Fprintf(os.Stderr, "mcsyn: ops plane on http://%s (/metrics /progress /trace /debug/pprof)\n", addr)
 	}
-	if *profileStages {
-		ses.prof = prof.New(*profileTop)
-		ses.o.SetStageHook(ses.prof)
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatalf("%v", err)
+		}
+		ses.cpu = f
 	}
 
 	if *serveAddr != "" {
@@ -381,17 +383,6 @@ func main() {
 		ses.o.AddSink(sv)
 		fmt.Fprintf(os.Stderr, "mcsyn: synthesis service on http://%s (POST /synth, GET /job/{id}, GET /result/{digest}, /metrics)\n", addr)
 		select {} // serve until a signal drains us through exit()
-	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("%v", err)
-		}
-		ses.cpu = f
 	}
 
 	if *list {

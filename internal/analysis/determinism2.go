@@ -72,7 +72,6 @@ var nondetExemptPkgs = map[string]bool{
 	"repro/internal/obs":         true,
 	"repro/internal/obs/journal": true,
 	"repro/internal/obs/obshttp": true,
-	"repro/internal/obs/prof":    true,
 }
 
 // DeterminismV2 is the determinism analyzer. It flags constructs

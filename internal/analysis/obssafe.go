@@ -11,7 +11,7 @@ import (
 const obsPkgPath = "repro/internal/obs"
 
 // obsLayerPkgs is the full observability layer: the core package plus
-// the flight recorder, the HTTP ops plane and the per-stage profiler.
+// the flight recorder and the HTTP ops plane.
 // The layer manages its own nil discipline (so it is exempt from the
 // Get() rule), but calls INTO any of these packages from a hotpath
 // loop violate the publish-once-per-stage contract — a journal write
@@ -21,7 +21,6 @@ var obsLayerPkgs = map[string]bool{
 	obsPkgPath:                   true,
 	"repro/internal/obs/journal": true,
 	"repro/internal/obs/obshttp": true,
-	"repro/internal/obs/prof":    true,
 }
 
 // ObsSafe enforces the two contracts of the observability layer:
@@ -34,7 +33,7 @@ var obsLayerPkgs = map[string]bool{
 //  2. publish once per stage — //reprolint:hotpath functions accumulate
 //     plain struct-local tallies and publish after the loop; any call
 //     into the obs layer (the core package, the journal, the SSE
-//     server, the stage profiler) inside one of their loops
+//     server) inside one of their loops
 //     reintroduces the per-iteration costs PR 3 removed.
 var ObsSafe = &lint.Analyzer{
 	Name: "obssafe",

@@ -34,7 +34,6 @@ type Observer struct {
 	Log     *slog.Logger
 
 	mu    sync.Mutex
-	hook  StageHook
 	sinks atomic.Pointer[[]Sink]
 	seq   atomic.Int64
 	epoch time.Time

@@ -26,14 +26,6 @@ type Sink interface {
 	Publish(Event)
 }
 
-// StageHook observes top-level pipeline span boundaries — the hook the
-// per-stage profiler (internal/obs/prof) attaches to. Both methods are
-// called from the sequential pipeline goroutine only.
-type StageHook interface {
-	StageStart(stage string)
-	StageEnd(stage string, wall time.Duration)
-}
-
 // AddSink attaches a sink to the observer. Copy-on-write: the publish
 // path loads the slice without a lock.
 func (o *Observer) AddSink(s Sink) {
@@ -49,24 +41,6 @@ func (o *Observer) AddSink(s Sink) {
 	}
 	next = append(next, s)
 	o.sinks.Store(&next)
-}
-
-// SetStageHook installs h to observe top-level span boundaries (nil
-// detaches). At most one hook is active; the event sinks receive stage
-// boundaries independently of it.
-func (o *Observer) SetStageHook(h StageHook) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	o.hook = h
-	o.mu.Unlock()
-}
-
-func (o *Observer) stageHook() StageHook {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.hook
 }
 
 func (o *Observer) hasSinks() bool {
@@ -123,30 +97,18 @@ func (o *Observer) publishEvent(kind, spec string, fields map[string]any) {
 	}
 }
 
-// stageStart forwards a top-level span opening to the stage hook and
-// the event sinks. Called by the tracer outside its lock, on the
-// sequential pipeline goroutine.
+// stageStart forwards a top-level span opening to the event sinks.
+// Called by the tracer outside its lock, on the sequential pipeline
+// goroutine.
 func (o *Observer) stageStart(name, spec string) {
-	if o == nil {
-		return
-	}
-	if h := o.stageHook(); h != nil {
-		h.StageStart(name)
-	}
 	if o.hasSinks() {
 		o.publishEvent("stage_start", spec, map[string]any{"stage": name})
 	}
 }
 
-// stageEnd forwards a finished top-level span to the stage hook and the
-// event sinks; the span's attributes ride along as event fields.
+// stageEnd forwards a finished top-level span to the event sinks; the
+// span's attributes ride along as event fields.
 func (o *Observer) stageEnd(rec *SpanRecord, spec string) {
-	if o == nil {
-		return
-	}
-	if h := o.stageHook(); h != nil {
-		h.StageEnd(rec.Name, rec.Dur)
-	}
 	if !o.hasSinks() {
 		return
 	}

@@ -16,23 +16,6 @@ type StageSpan struct {
 	Attrs   map[string]any `json:"attrs,omitempty"`
 }
 
-// ProfileSample is one symbol's flat share of a per-stage profile.
-type ProfileSample struct {
-	Func  string `json:"func"`
-	Value int64  `json:"value"`
-}
-
-// StageProfile is the top-N symbol summary of one pipeline stage,
-// captured by the per-stage profiler (internal/obs/prof): flat CPU
-// nanoseconds from a stage-scoped CPU profile and flat allocated bytes
-// from the delta of two allocs-profile snapshots.
-type StageProfile struct {
-	Stage      string          `json:"stage"`
-	WallUs     int64           `json:"wall_us"`
-	CPUNs      []ProfileSample `json:"cpu_ns,omitempty"`
-	AllocBytes []ProfileSample `json:"alloc_bytes,omitempty"`
-}
-
 // RunReport is the machine-readable record of one synthesized spec:
 // the stage spans of its pipeline, the counters its run moved, and the
 // verdict fields the CLI fills in from the synthesis report.
@@ -52,7 +35,6 @@ type RunReport struct {
 
 	Stages   []StageSpan        `json:"stages"`
 	Counters map[string]float64 `json:"counters"`
-	Profiles []StageProfile     `json:"profiles,omitempty"`
 }
 
 // BuildRunReport assembles a report from everything observed since the

@@ -80,8 +80,9 @@ type Trace struct {
 }
 
 // stage resolves one stage: cache lookup, then singleflight-coalesced
-// computation. Exactly one caller per key computes; the result (error
-// included) lands in the cache for everyone after.
+// computation under the stage's pprof label (synth.Labeled). Exactly
+// one caller per key computes; the result (error included) lands in
+// the cache for everyone after.
 func (s *Server) stage(tr *Trace, name, key string, compute func() any) any {
 	if v, ok := s.cache.Get(name, key); ok {
 		tr.Hits = append(tr.Hits, name)
@@ -94,7 +95,8 @@ func (s *Server) stage(tr *Trace, name, key string, compute func() any) any {
 			return v, nil
 		}
 		s.computes[name].Add(1)
-		v := compute()
+		var v any
+		synth.Labeled(name, func() { v = compute() })
 		s.cache.Put(name, key, v)
 		return v, nil
 	})

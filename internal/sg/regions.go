@@ -60,20 +60,14 @@ type Regions struct {
 	QRAfter []int
 }
 
-// connectedComponents splits the state set into maximal weakly connected
-// components using only edges whose both endpoints lie in the set.
-func (g *Graph) connectedComponents(states []int) [][]int {
-	n := g.NumStates()
-	return g.components(states, NewStateSet(n), NewStateSet(n),
-		make([]int, len(states)), make([]int, 0, len(states)), nil)
-}
-
-// components is connectedComponents with caller-provided scratch: in
-// and seen must be empty sets sized for the graph (they come back
-// dirty), buf is the backing the returned components are carved out of
-// (len ≥ len(states)), q is a reusable BFS queue, and new components
-// are appended to comps. RegionsOf decomposes four partitions per
-// signal and shares one scratch set across them.
+// components splits the state set into maximal weakly connected
+// components using only edges whose both endpoints lie in the set. The
+// scratch is the caller's: in and seen must be empty sets sized for
+// the graph (they come back dirty), buf is the backing the returned
+// components are carved out of (len ≥ len(states)), q is a reusable BFS
+// queue, and new components are appended to comps. RegionsOf
+// decomposes four partitions per signal and shares one scratch set
+// across them.
 func (g *Graph) components(states []int, in, seen StateSet, buf, q []int, comps [][]int) [][]int {
 	for _, s := range states {
 		in.Add(s)
@@ -112,26 +106,6 @@ func (g *Graph) components(states []int, in, seen StateSet, buf, q []int, comps 
 		comps = append(comps, comp)
 	}
 	return comps
-}
-
-func newRegion(g *Graph, sig int, d Dir, idx int, states []int) *Region {
-	r := &Region{Signal: sig, Dir: d, Index: idx, States: states, set: NewStateSet(g.NumStates())}
-	for _, s := range states {
-		r.set.Add(s)
-	}
-	for _, s := range states {
-		minimal := true
-		for _, e := range g.States[s].Pred {
-			if r.set.Has(e.To) {
-				minimal = false
-				break
-			}
-		}
-		if minimal {
-			r.Min = append(r.Min, s)
-		}
-	}
-	return r
 }
 
 // RegionsOf computes the excitation and quiescent regions of signal sig

@@ -14,8 +14,9 @@ import (
 // same regions.
 
 // refComponents splits the state list into maximal weakly connected
-// components using only edges whose both endpoints lie in the set —
-// the seed revision's map-based connectedComponents.
+// components using only edges whose both endpoints lie in the set, with
+// maps for the membership and visited sets — the reference for the
+// StateSet-based decomposition RegionsOf carves from its own scratch.
 func refComponents(g *sg.Graph, states []int) [][]int {
 	in := make(map[int]bool, len(states))
 	for _, s := range states {

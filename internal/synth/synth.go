@@ -9,7 +9,9 @@
 package synth
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -126,7 +128,9 @@ func FromSTGSource(src string, opts Options) (*Report, error) {
 
 // FromSTG builds the state graph of the net and synthesizes it.
 func FromSTG(net *stg.STG, opts Options) (*Report, error) {
-	g, err := stg.BuildSG(net)
+	var g *sg.Graph
+	var err error
+	Labeled("reach", func() { g, err = stg.BuildSG(net) })
 	if err != nil {
 		return nil, err
 	}
@@ -209,14 +213,26 @@ func Repair(g *sg.Graph, opts encode.Options) (*encode.Result, error) {
 	return fixed, nil
 }
 
-// stage runs one FromGraph stage under a top-level obs span: it reads
-// the clock around run into *dur and records the stage's allocation
-// delta on the span. run sets the stage's result attributes itself.
+// Labeled runs f under the runtime/pprof label stage=name. Goroutines
+// f starts inherit the label, so a CPU profile of any run, the repair
+// scoring workers included, splits by stage with
+// `go tool pprof -tagfocus=stage=<name>`. Stages do not nest: f runs
+// with stage as its goroutine's only label, and the goroutine carries
+// no labels once Labeled returns.
+func Labeled(name string, f func()) {
+	pprof.Do(context.Background(), pprof.Labels("stage", name), func(context.Context) { f() })
+}
+
+// stage runs one FromGraph stage under a top-level obs span and its
+// pprof stage label: it reads the clock around run into *dur and
+// records the stage's allocation delta on the span. run sets the
+// stage's result attributes itself.
 func stage(name, spec string, dur *time.Duration, run func(sp *obs.Span) error) error {
 	sp := obs.Start(name, obs.A("spec", spec))
 	mem := obs.MarkMem()
 	t0 := now()
-	err := run(sp)
+	var err error
+	Labeled(name, func() { err = run(sp) })
 	*dur = since(t0)
 	sp.AttrMemDelta(mem)
 	sp.End()
