@@ -182,10 +182,11 @@ func RunTable1(benchtime time.Duration) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", e.Name, err)
 		}
-		if _, err := synth.Analyze(g); err != nil {
+		an, err := synth.Analyze(g)
+		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", e.Name, err)
 		}
-		fixed, err := synth.Repair(g, encode.Options{})
+		fixed, err := synth.Repair(an, encode.Options{})
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s: %w", e.Name, err)
 		}

@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -37,7 +38,6 @@ type Analyzer struct {
 	Idx  *sg.Index     // dense excitation/successor index of G
 	Regs []*sg.Regions // indexed by signal
 
-	minterms  [][]bool    // per-state value vectors, precomputed
 	mintCubes []cube.Cube // per-state minterm cubes, for O(words) covers
 	workers   int         // worker-pool bound for per-signal fan-out
 
@@ -61,48 +61,56 @@ func NewAnalyzer(g *sg.Graph) *Analyzer { return NewAnalyzerN(g, 0) }
 // NewAnalyzerN is NewAnalyzer with an explicit worker-pool bound
 // (0 = GOMAXPROCS, 1 = sequential).
 func NewAnalyzerN(g *sg.Graph, workers int) *Analyzer {
-	a := newAnalyzerBase(g, workers)
+	ix := sg.NewIndex(g)
+	regs := make([]*sg.Regions, g.NumSignals())
+	workers = par.Workers(workers)
 	if o := obs.Get(); o != nil {
-		o.Metrics.Gauge("par_pool_size", "pool", "core.regions").Set(int64(a.workers))
+		o.Metrics.Gauge("par_pool_size", "pool", "core.regions").Set(int64(workers))
 	}
-	par.ForEachHook(g.NumSignals(), a.workers, func(sig int) {
-		a.Regs[sig] = a.Idx.RegionsOf(sig)
+	par.ForEachHook(len(regs), workers, func(sig int) {
+		regs[sig] = ix.RegionsOf(sig)
 	}, obs.TaskHook("core.regions"))
-	return a
+	return newAnalyzer(ix, regs, workers)
+}
+
+// NewAnalyzerFrom builds an analyzer over a graph's region table
+// instead of decomposing the graph again: its Regs hold the table's
+// own *sg.Regions. The analyzer copies the table's signal slice and
+// never writes to the table, so analyzers on one shared table may run
+// concurrently. workers bounds CheckGraph's per-signal fan-out as in
+// NewAnalyzerN.
+func NewAnalyzerFrom(t *sg.RegionTable, workers int) *Analyzer {
+	return newAnalyzer(t.Idx, slices.Clone(t.Regs), par.Workers(workers))
 }
 
 // NewAnalyzerLazy builds a sequential analyzer that decomposes a
 // signal's regions on first use instead of up front. Budgeted scoring
 // over throwaway candidate graphs usually inspects only a few signals
 // before hitting its budget, so the eager whole-graph decomposition is
-// mostly wasted there. Lazy analyzers are not safe for concurrent use.
-func NewAnalyzerLazy(g *sg.Graph) *Analyzer {
-	return newAnalyzerBase(g, 1)
+// mostly wasted there. It takes the graph's index, which the scorer
+// has already built for its semi-modularity check. Lazy analyzers are
+// not safe for concurrent use.
+func NewAnalyzerLazy(ix *sg.Index) *Analyzer {
+	return newAnalyzer(ix, make([]*sg.Regions, ix.G.NumSignals()), 1)
 }
 
-func newAnalyzerBase(g *sg.Graph, workers int) *Analyzer {
-	a := &Analyzer{
-		G:       g,
-		Idx:     sg.NewIndex(g),
-		Regs:    make([]*sg.Regions, g.NumSignals()),
-		workers: par.Workers(workers),
-	}
-	// One flat backing array for all minterm rows: budgeted scoring
-	// builds an analyzer per candidate graph, so per-state row
-	// allocations dominate the constructor's cost.
+// newAnalyzer owns regs: nil entries are decomposed on first use.
+func newAnalyzer(ix *sg.Index, regs []*sg.Regions, workers int) *Analyzer {
+	g := ix.G
+	a := &Analyzer{G: g, Idx: ix, Regs: regs, workers: workers}
+	// One backing array for all minterm cubes, filled through one value
+	// row: budgeted scoring builds an analyzer per candidate graph, so
+	// per-state allocations would dominate the constructor's cost.
 	n := g.NumSignals()
-	a.minterms = make([][]bool, g.NumStates())
 	a.mintCubes = make([]cube.Cube, g.NumStates())
-	flat := make([]bool, g.NumStates()*n)
+	row := make([]bool, n)
 	wpc := cube.WordsFor(n)
 	mw := make([]uint64, g.NumStates()*wpc)
-	for s := range a.minterms {
-		v := flat[s*n : (s+1)*n : (s+1)*n]
-		for i := 0; i < n; i++ {
-			v[i] = g.Value(s, i)
+	for s := range a.mintCubes {
+		for i := range row {
+			row[i] = g.Value(s, i)
 		}
-		a.minterms[s] = v
-		a.mintCubes[s] = cube.MintermInto(v, mw[s*wpc:(s+1)*wpc:(s+1)*wpc])
+		a.mintCubes[s] = cube.MintermInto(row, mw[s*wpc:(s+1)*wpc:(s+1)*wpc])
 	}
 	return a
 }
@@ -121,14 +129,8 @@ func (a *Analyzer) regs(sig int) *sg.Regions {
 	return r
 }
 
-// Minterm returns the binary code of state s as a value vector. The
-// returned slice is shared; callers must not mutate it.
-func (a *Analyzer) Minterm(s int) []bool { return a.minterms[s] }
-
 // MintermCube returns the full minterm cube of state s.
-func (a *Analyzer) MintermCube(s int) cube.Cube {
-	return cube.NewMinterm(a.Minterm(s))
-}
+func (a *Analyzer) MintermCube(s int) cube.Cube { return a.mintCubes[s].Clone() }
 
 // CoverCube derives the canonical cover cube of the excitation region
 // (Definition 15, computed as in Lemma 3): one literal for every signal

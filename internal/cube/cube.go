@@ -49,8 +49,8 @@ func (l Lit) String() string {
 const varsPerWord = 32
 
 // Cube is a conjunction of literals over n Boolean variables.
-// The zero value is not usable; construct cubes with NewFull, NewMinterm,
-// Parse or FromLits.
+// The zero value is not usable; construct cubes with NewFull,
+// MintermInto, Parse or FromLits.
 type Cube struct {
 	n int
 	w []uint64
@@ -87,26 +87,13 @@ func NewFull(n int) Cube {
 	return c
 }
 
-// NewMinterm returns the cube fixing every variable to the given value.
-// len(values) determines the variable count.
-func NewMinterm(values []bool) Cube {
-	c := NewFull(len(values))
-	for i, v := range values {
-		if v {
-			c.Set(i, One)
-		} else {
-			c.Set(i, Zero)
-		}
-	}
-	return c
-}
-
 // WordsFor returns the number of backing words of an n-variable cube,
 // letting callers batch-allocate storage for MintermInto.
 func WordsFor(n int) int { return words(n) }
 
-// MintermInto is NewMinterm writing into caller-provided backing words
-// (len(w) must be WordsFor(len(values))).
+// MintermInto returns the cube fixing every variable to the given
+// value, written into caller-provided backing words (len(w) must be
+// WordsFor(len(values))); len(values) determines the variable count.
 func MintermInto(values []bool, w []uint64) Cube {
 	c := Cube{n: len(values), w: w}
 	c.Reset()

@@ -587,10 +587,21 @@ func separationAssumptions(vars []labelVars, c conflict, low bool) []sat.Lit {
 
 // Repair inserts state signals until the graph satisfies the target
 // property (Monotonous Cover by default, Complete State Coding with
-// TargetCSC). The input graph must be output semi-modular.
+// TargetCSC). The input graph must be output semi-modular. It is
+// RepairTable over a fresh region table of g.
 func Repair(g *sg.Graph, opts Options) (*Result, error) {
+	return RepairTable(sg.NewRegionTable(g), opts)
+}
+
+// RepairTable is Repair on a graph already decomposed into its region
+// table (synth.Analyze builds one): the output semi-modularity check
+// runs on the table's index, and round 0 analyzes the input graph from
+// the table's regions instead of decomposing it again. Later rounds
+// decompose the graphs they insert into. The table is only read.
+func RepairTable(t *sg.RegionTable, opts Options) (*Result, error) {
 	opts.fill()
-	if !g.OutputSemiModular() {
+	g := t.Idx.G
+	if !t.Idx.OutputSemiModular() {
 		return nil, fmt.Errorf("encode: graph is not output semi-modular; no SI implementation exists")
 	}
 	targetName := "MC"
@@ -606,7 +617,13 @@ func Repair(g *sg.Graph, opts Options) (*Result, error) {
 	var carried [][]sat.Lit // remapped learnt clauses from the previous round
 	for round := 0; ; round++ {
 		rsp := obs.Start("repair.round", obs.A("round", round), obs.A("spec", g.Name))
-		rep := core.NewAnalyzerN(res.G, opts.Workers).CheckGraph()
+		var a *core.Analyzer
+		if round == 0 {
+			a = core.NewAnalyzerFrom(t, opts.Workers)
+		} else {
+			a = core.NewAnalyzerN(res.G, opts.Workers)
+		}
+		rep := a.CheckGraph()
 		res.Report = rep
 		if score(res.G, rep) == 0 {
 			rsp.SetAttr("satisfied", true)
@@ -950,13 +967,14 @@ func (rs *roundSearch) score(labels []Label, budget int, scr *expandScratch) sco
 	if err != nil {
 		return scored{}
 	}
-	if !g2.OutputSemiModular() {
+	ix := sg.NewIndex(g2)
+	if !ix.OutputSemiModular() {
 		return scored{}
 	}
 	if rs.opts.Target == TargetCSC {
-		return scored{g: g2, count: len(g2.CSCViolations())}
+		return scored{g: g2, count: len(ix.CSCViolations())}
 	}
-	n := core.NewAnalyzerLazy(g2).CountViolationsBudget(budget, rs.hot...)
+	n := core.NewAnalyzerLazy(ix).CountViolationsBudget(budget, rs.hot...)
 	return scored{g: g2, count: n, pruned: n >= budget}
 }
 

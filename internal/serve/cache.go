@@ -216,9 +216,10 @@ type flightGroup struct {
 }
 
 type flightCall struct {
-	done chan struct{}
-	val  any
-	err  error
+	done    chan struct{}
+	val     any
+	err     error
+	waiters int // callers that joined the flight, guarded by flightGroup.mu
 }
 
 func newFlightGroup() *flightGroup {
@@ -227,10 +228,13 @@ func newFlightGroup() *flightGroup {
 
 // Do runs fn once per concurrent key, returning the shared result and
 // whether this caller joined an in-progress flight instead of starting
-// one.
+// one. A panic in fn is recovered into the error every caller of the
+// flight receives, and the key is released before the waiters wake, so
+// a panicking computation can neither strand them nor its key.
 func (g *flightGroup) Do(key string, fn func() (any, error)) (val any, err error, coalesced bool) {
 	g.mu.Lock()
 	if call, ok := g.m[key]; ok {
+		call.waiters++
 		g.mu.Unlock()
 		<-call.done
 		return call.val, call.err, true
@@ -239,11 +243,21 @@ func (g *flightGroup) Do(key string, fn func() (any, error)) (val any, err error
 	g.m[key] = call
 	g.mu.Unlock()
 
-	call.val, call.err = fn()
-	close(call.done)
+	call.val, call.err = recovered(fn)
 
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()
+	close(call.done)
 	return call.val, call.err, false
+}
+
+// recovered calls fn, turning a panic into an error.
+func recovered(fn func() (any, error)) (val any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			val, err = nil, fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return fn()
 }

@@ -18,7 +18,7 @@ func TestStageComputeLabel(t *testing.T) {
 	parked, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
-		s.stage(&Trace{}, "repair", stageKey("repair", "label-test"), func() any {
+		stage(s, &Trace{}, "repair", stageKey("repair", "label-test"), func() *repairResult {
 			park(parked, release)
 			return &repairResult{}
 		})

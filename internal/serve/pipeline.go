@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/encode"
 	"repro/internal/sg"
@@ -35,17 +34,19 @@ type reachResult struct {
 	err error
 }
 
+// analyzeResult carries the analysis: the region table every later
+// stage of the spec reads. Nothing writes to it once cached, so the
+// repair stages of different configs share one entry concurrently.
 type analyzeResult struct {
+	an  *synth.Analysis
 	err error
 }
 
 // repairResult carries the repair stage's result, whose MC report's
-// analyzer derives covers on demand. The analyzer memoizes region
-// decompositions lazily, so concurrent cover derivations on one shared
-// entry must serialize on mu — that is the only mutable state a cached
-// stage value owns.
+// analyzer derives covers on demand. That analyzer holds every
+// signal's regions already, so cover derivation only reads it, and
+// netlist configs sharing one entry need no lock.
 type repairResult struct {
-	mu    sync.Mutex
 	fixed *encode.Result
 	err   error
 }
@@ -82,20 +83,22 @@ type Trace struct {
 // stage resolves one stage: cache lookup, then singleflight-coalesced
 // computation under the stage's pprof label (synth.Labeled). Exactly
 // one caller per key computes; the result (error included) lands in
-// the cache for everyone after.
-func (s *Server) stage(tr *Trace, name, key string, compute func() any) any {
+// the cache for everyone after. A compute that panics lands nowhere:
+// the computing caller and every coalesced waiter get the panic back
+// as an error, and the next request for the key computes afresh.
+func stage[T any](s *Server, tr *Trace, name, key string, compute func() T) (T, error) {
 	if v, ok := s.cache.Get(name, key); ok {
 		tr.Hits = append(tr.Hits, name)
-		return v
+		return v.(T), nil
 	}
-	v, _, coalesced := s.flights.Do(key, func() (any, error) {
+	v, err, coalesced := s.flights.Do(key, func() (any, error) {
 		// Double-check under the flight: a previous flight may have
 		// populated the key between the Get above and here.
 		if v, ok := s.cache.Peek(key); ok {
 			return v, nil
 		}
 		s.computes[name].Add(1)
-		var v any
+		var v T
 		synth.Labeled(name, func() { v = compute() })
 		s.cache.Put(name, key, v)
 		return v, nil
@@ -106,7 +109,11 @@ func (s *Server) stage(tr *Trace, name, key string, compute func() any) any {
 	} else {
 		tr.Computed = append(tr.Computed, name)
 	}
-	return v
+	if err != nil {
+		var zero T
+		return zero, fmt.Errorf("serve: %s stage: %w", name, err)
+	}
+	return v.(T), nil
 }
 
 // synthesize runs (or replays from cache) the full pipeline for one
@@ -135,12 +142,15 @@ func (s *Server) synthesize(name, source string, cfg Config, onSpec func(spec st
 		return res, tr
 	}
 
-	pr := s.stage(tr, "parse", kParse, func() any {
+	pr, err := stage(s, tr, "parse", kParse, func() *parseResult {
 		net, err := stg.Parse(canon)
 		return &parseResult{net: net, err: err}
-	}).(*parseResult)
-	if pr.err != nil {
-		return fail(pr.err)
+	})
+	if err == nil {
+		err = pr.err
+	}
+	if err != nil {
+		return fail(err)
 	}
 	if name == "" {
 		name = pr.net.Name
@@ -149,38 +159,42 @@ func (s *Server) synthesize(name, source string, cfg Config, onSpec func(spec st
 		onSpec(pr.net.Name)
 	}
 
-	rr := s.stage(tr, "reach", kReach, func() any {
+	rr, err := stage(s, tr, "reach", kReach, func() *reachResult {
 		g, err := stg.BuildSG(pr.net)
 		return &reachResult{g: g, err: err}
-	}).(*reachResult)
-	if rr.err != nil {
-		return fail(rr.err)
+	})
+	if err == nil {
+		err = rr.err
+	}
+	if err != nil {
+		return fail(err)
 	}
 
-	ar := s.stage(tr, "analyze", kAnalyze, func() any {
-		_, err := synth.Analyze(rr.g)
-		return &analyzeResult{err: err}
-	}).(*analyzeResult)
-	if ar.err != nil {
-		return fail(ar.err)
+	ar, err := stage(s, tr, "analyze", kAnalyze, func() *analyzeResult {
+		an, err := synth.Analyze(rr.g)
+		return &analyzeResult{an: an, err: err}
+	})
+	if err == nil {
+		err = ar.err
+	}
+	if err != nil {
+		return fail(err)
 	}
 
-	rep := s.stage(tr, "repair", kRepair, func() any {
-		fixed, err := synth.Repair(rr.g, encode.Options{MaxModels: cfg.MaxModels, Workers: s.jobWorkers()})
+	rep, err := stage(s, tr, "repair", kRepair, func() *repairResult {
+		fixed, err := synth.Repair(ar.an, encode.Options{MaxModels: cfg.MaxModels, Workers: s.jobWorkers()})
 		return &repairResult{fixed: fixed, err: err}
-	}).(*repairResult)
-	if rep.err != nil {
-		return fail(rep.err)
+	})
+	if err == nil {
+		err = rep.err
+	}
+	if err != nil {
+		return fail(err)
 	}
 
-	res := s.stage(tr, "netlist", kNet, func() any {
-		// The MC report's analyzer builds region decompositions lazily;
-		// serialize cover derivation per repair entry so two netlist
-		// configs sharing it never race on that memoization.
+	res, err := stage(s, tr, "netlist", kNet, func() *Result {
 		final := rep.fixed.G
-		rep.mu.Lock()
 		nl, _, err := synth.CoverNetlist(final, rep.fixed.Report, synth.Options{RS: cfg.RS, Share: cfg.Share})
-		rep.mu.Unlock()
 		out := &Result{
 			Spec:        name,
 			SpecSHA:     srcSHA,
@@ -206,7 +220,10 @@ func (s *Server) synthesize(name, source string, cfg Config, onSpec func(spec st
 		}
 		s.indexResult(out)
 		return out
-	}).(*Result)
+	})
+	if err != nil {
+		return fail(err)
+	}
 	if res.Spec != name && name != "" {
 		// A coalesced or cached result may carry the first submitter's
 		// display name; the payload is identical, so rebrand a copy.

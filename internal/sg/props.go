@@ -65,10 +65,19 @@ func (g *Graph) SemiModular() bool { return len(g.Conflicts()) == 0 }
 // OutputSemiModular reports whether no non-input signal is ever disabled
 // (no internally conflict state). Only output semi-modular graphs can be
 // implemented by speed-independent circuits.
-func (g *Graph) OutputSemiModular() bool {
-	for _, c := range g.Conflicts() {
-		if c.Internal {
-			return false
+func (g *Graph) OutputSemiModular() bool { return NewIndex(g).OutputSemiModular() }
+
+// OutputSemiModular is the index-backed form of the graph method. It
+// stops at the first internal conflict and lists none.
+func (ix *Index) OutputSemiModular() bool {
+	g := ix.G
+	for w := range g.States {
+		for _, eb := range g.States[w].Succ {
+			for _, ea := range g.States[w].Succ {
+				if a := ea.Signal; a != eb.Signal && !g.Input[a] && ix.excited[eb.To]>>uint(a)&1 == 0 {
+					return false
+				}
+			}
 		}
 	}
 	return true
@@ -226,11 +235,17 @@ type PropertyReport struct {
 
 // Check computes the full property report.
 func (g *Graph) Check() PropertyReport {
-	ix := NewIndex(g)
+	return NewRegionTable(g).Check()
+}
+
+// Check computes the full property report of the table's graph, reading
+// persistency and unique entry off the table's regions.
+func (t *RegionTable) Check() PropertyReport {
+	ix, g := t.Idx, t.Idx.G
 	conf := ix.Conflicts()
 	rep := PropertyReport{
 		Consistent:    g.CheckConsistency() == nil,
-		Persistent:    len(ix.PersistencyViolations()) == 0,
+		Persistent:    len(t.PersistencyViolations()) == 0,
 		CSC:           len(ix.CSCViolations()) == 0,
 		USC:           g.USC(),
 		Detonants:     len(ix.Detonants(false)),
@@ -249,11 +264,11 @@ func (g *Graph) Check() PropertyReport {
 	rep.OutputSemiModular = internal == 0
 	rep.Distributive = rep.SemiModular && rep.Detonants == 0
 	rep.OutputDistrib = rep.OutputSemiModular && len(ix.Detonants(true)) == 0
-	for sig := range g.Signals {
+	for sig, regs := range t.Regs {
 		if g.Input[sig] {
 			continue
 		}
-		for _, er := range ix.RegionsOf(sig).ER {
+		for _, er := range regs.ER {
 			if !er.UniqueEntry() {
 				rep.UniqueEntryOK = false
 			}

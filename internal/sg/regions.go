@@ -1,9 +1,6 @@
 package sg
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Region is a maximal connected set of states associated with one
 // transition occurrence of a signal: an excitation region ER(*a_i)
@@ -60,204 +57,179 @@ type Regions struct {
 	QRAfter []int
 }
 
-// components splits the state set into maximal weakly connected
-// components using only edges whose both endpoints lie in the set. The
-// scratch is the caller's: in and seen must be empty sets sized for
-// the graph (they come back dirty), buf is the backing the returned
-// components are carved out of (len ≥ len(states)), q is a reusable BFS
-// queue, and new components are appended to comps. RegionsOf
-// decomposes four partitions per signal and shares one scratch set
-// across them.
-func (g *Graph) components(states []int, in, seen StateSet, buf, q []int, comps [][]int) [][]int {
-	for _, s := range states {
-		in.Add(s)
-	}
-	off := 0
-	for _, s := range states {
-		if seen.Has(s) {
-			continue
-		}
-		// Each component occupies the next contiguous window of buf:
-		// its appends finish before the following component starts, so
-		// sharing the tail capacity is safe.
-		comp := buf[off:off:len(buf)]
-		comp = append(comp, s)
-		seen.Add(s)
-		for q = append(q[:0], s); len(q) > 0; {
-			u := q[len(q)-1]
-			q = q[:len(q)-1]
-			for _, e := range g.States[u].Succ {
-				if in.Has(e.To) && !seen.Has(e.To) {
-					seen.Add(e.To)
-					comp = append(comp, e.To)
-					q = append(q, e.To)
-				}
-			}
-			for _, e := range g.States[u].Pred {
-				if in.Has(e.To) && !seen.Has(e.To) {
-					seen.Add(e.To)
-					comp = append(comp, e.To)
-					q = append(q, e.To)
-				}
-			}
-		}
-		off += len(comp)
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 // RegionsOf computes the excitation and quiescent regions of signal sig
 // (Definitions 5 and 6) and the ER → following-QR association. It builds
 // a transient Index; callers decomposing many signals should build one
-// Index and use its RegionsOf.
+// Index and use its RegionsOf, or one RegionTable.
 func (g *Graph) RegionsOf(sig int) *Regions {
 	return NewIndex(g).RegionsOf(sig)
 }
 
+// Region classes of one signal, in the order RegionsOf lists regions:
+// ER(+a) (excited at 0), ER(−a) (excited at 1), QR(+a) (stable at 1,
+// after an up transition) and QR(−a) (stable at 0).
+var classDir = [4]Dir{Plus, Minus, Plus, Minus}
+
 // RegionsOf computes the region decomposition of signal sig using the
 // index's O(1) excitation and successor lookups.
+//
+// Every state gets a component label in one array: first the inverted
+// class (^c, negative), then, by a DFS over the class's own edges, the
+// region number in discovery order (ascending by each component's
+// least state, classes in region order). Only then, with the region
+// count known, are the region structs and their bitsets allocated, one
+// ⌈n/64⌉-word set per region; and one backward pass over the states
+// buckets each state into its region (a counting sort by label), so
+// every region's States and Min come out ascending without a sort. Region decomposition runs once per
+// scanned signal of every scored candidate graph, so a call makes a
+// constant six allocations whatever the graph's size.
 func (ix *Index) RegionsOf(sig int) *Regions {
 	g := ix.G
-	bit := uint64(1) << uint(sig)
-	// The four partitions always sum to the state count: count each
-	// class first, then carve exact windows out of one n-int backing.
 	n := g.NumStates()
-	nEP, nEM, nQ0 := 0, 0, 0
-	for s := range g.States {
-		v := g.Value(s, sig)
+	bit := uint64(1) << uint(sig)
+	// One int backing: the labels, then the DFS stack (which, once every
+	// state is labelled, becomes the bucketed region states), then the
+	// minimal states, which never outnumber the states.
+	ints := make([]int, 3*n)
+	label := ints[:n:n]
+	for s := range label {
+		c := 3 // stable at 0
 		if ix.excited[s]&bit != 0 {
-			if v {
-				nEM++
-			} else {
-				nEP++
+			c = 0 // excited at 0
+			if g.Value(s, sig) {
+				c = 1
 			}
-		} else if !v {
-			nQ0++
+		} else if g.Value(s, sig) {
+			c = 2
 		}
+		label[s] = ^c
 	}
-	buf := make([]int, n)
-	o1, o2, o3 := nEP, nEP+nEM, nEP+nEM+nQ0
-	erPlus := buf[0:0:o1]
-	erMinus := buf[o1:o1:o2]
-	qr0 := buf[o2:o2:o3]
-	qr1 := buf[o3:o3:n]
-	for s := range g.States {
-		v := g.Value(s, sig)
-		if ix.excited[s]&bit != 0 {
-			if v {
-				erMinus = append(erMinus, s)
-			} else {
-				erPlus = append(erPlus, s)
+	stack := ints[n : n : 2*n]
+	var start [5]int // start[c]: first region number of class c
+	tot := 0
+	for c := range 4 {
+		start[c] = tot
+		for s0, l := range label {
+			if l != ^c {
+				continue
 			}
-		} else {
-			if v {
-				qr1 = append(qr1, s)
-			} else {
-				qr0 = append(qr0, s)
-			}
-		}
-	}
-	res := &Regions{Signal: sig}
-	// One scratch set pair and one component backing serve all four
-	// decompositions (their states are disjoint and sum to n), and all
-	// regions of the signal share batch-allocated structs, bitsets and
-	// minimal-state storage: region decomposition runs once per scanned
-	// signal of every scored candidate graph, so the constant count of
-	// allocations per call matters more than their size. The int
-	// scratch (component storage, BFS queue, minimal states, QRAfter)
-	// and the bitset words (in/seen scratch plus the ≤ n region sets)
-	// are each carved from a single backing.
-	w := (n + 63) / 64
-	words := make([]uint64, (n+2)*w)
-	in, seen := StateSet(words[:w:w]), StateSet(words[w:2*w:2*w])
-	sets := words[2*w:]
-	ints := make([]int, 4*n)
-	cbuf := ints[:n]
-	q := ints[n : n : 2*n]
-	minBuf := ints[2*n : 2*n : 3*n]
-	qrAfter := ints[3*n : 3*n : 4*n]
-	// Components are disjoint and nonempty, so across the four
-	// partitions there are at most n of them: one header backing, with
-	// each comps() call returning its own full-capacity window.
-	all := make([][]int, 0, n)
-	used := 0
-	comps := func(states []int) [][]int {
-		clear(in)
-		clear(seen)
-		start := len(all)
-		all = g.components(states, in, seen, cbuf[used:used+len(states)], q, all)
-		used += len(states)
-		return all[start:len(all):len(all)]
-	}
-	erP, erM := comps(erPlus), comps(erMinus)
-	// QR(+a_i): a stable at 1, follows an up transition.
-	qrP, qrM := comps(qr1), comps(qr0)
-	tot := len(erP) + len(erM) + len(qrP) + len(qrM)
-	regs := make([]Region, tot)
-	ptrs := make([]*Region, tot)
-	ri := 0
-	build := func(d Dir, idx int, comp []int) *Region {
-		r := &regs[ri]
-		r.Signal, r.Dir, r.Index, r.States = sig, d, idx, comp
-		r.set = sets[ri*w : (ri+1)*w : (ri+1)*w]
-		ri++
-		for _, s := range comp {
-			r.set.Add(s)
-		}
-		off := len(minBuf)
-		for _, s := range comp {
-			minimal := true
-			for _, e := range g.States[s].Pred {
-				if r.set.Has(e.To) {
-					minimal = false
-					break
+			label[s0] = tot
+			for stack = append(stack[:0], s0); len(stack) > 0; {
+				u := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, e := range g.States[u].Succ {
+					if label[e.To] == ^c {
+						label[e.To] = tot
+						stack = append(stack, e.To)
+					}
+				}
+				for _, e := range g.States[u].Pred {
+					if label[e.To] == ^c {
+						label[e.To] = tot
+						stack = append(stack, e.To)
+					}
 				}
 			}
-			if minimal {
-				minBuf = append(minBuf, s)
-			}
+			tot++
 		}
-		r.Min = minBuf[off:len(minBuf):len(minBuf)]
-		return r
 	}
-	ne := len(erP) + len(erM)
-	res.ER = ptrs[:0:ne]
-	res.QR = ptrs[ne:ne:tot]
-	for i, comp := range erP {
-		res.ER = append(res.ER, build(Plus, i+1, comp))
+	start[4] = tot
+	ne := start[2]
+
+	// Counting sort by label, in ascending state order: end[k] first
+	// counts region k, then becomes its end offset in states.
+	w := (n + 63) / 64
+	words := make([]uint64, tot*w)
+	meta := make([]int, tot+ne)
+	end, qrAfter := meta[:tot:tot], meta[tot:]
+	for _, k := range label {
+		end[k]++
 	}
-	for i, comp := range erM {
-		res.ER = append(res.ER, build(Minus, i+1, comp))
+	for k := 1; k < tot; k++ {
+		end[k] += end[k-1]
 	}
-	for i, comp := range qrP {
-		res.QR = append(res.QR, build(Plus, i+1, comp))
+	states := ints[n : 2*n : 2*n]
+	for s := n - 1; s >= 0; s-- {
+		k := label[s]
+		end[k]--
+		states[end[k]] = s
+		words[k*w+s>>6] |= 1 << uint(s&63)
 	}
-	for i, comp := range qrM {
-		res.QR = append(res.QR, build(Minus, i+1, comp))
+	// The backward pass left end[k] at region k's first state.
+
+	res := &Regions{Signal: sig}
+	regs := make([]Region, tot)
+	ptrs := make([]*Region, tot)
+	minBuf := ints[2*n : 2*n : 3*n]
+	for c := range 4 {
+		for k := start[c]; k < start[c+1]; k++ {
+			hi := n
+			if k+1 < tot {
+				hi = end[k+1]
+			}
+			r := &regs[k]
+			r.Signal, r.Dir, r.Index = sig, classDir[c], k-start[c]+1
+			r.States = states[end[k]:hi:hi]
+			r.set = StateSet(words[k*w : (k+1)*w : (k+1)*w])
+			// Minimal states (Definition 8): no predecessor in the region.
+			off := len(minBuf)
+			for _, s := range r.States {
+				minimal := true
+				for _, e := range g.States[s].Pred {
+					if label[e.To] == k {
+						minimal = false
+						break
+					}
+				}
+				if minimal {
+					minBuf = append(minBuf, s)
+				}
+			}
+			r.Min = minBuf[off:len(minBuf):len(minBuf)]
+			ptrs[k] = r
+		}
 	}
-	// Associate each ER with the QR entered when its transition fires.
-	res.QRAfter = qrAfter[:len(res.ER)]
+	res.ER, res.QR = ptrs[:ne:ne], ptrs[ne:]
+	// Associate each ER with the QR entered when its transition fires:
+	// the QR holding the first successor along the signal that lies in a
+	// QR of the same direction.
+	res.QRAfter = qrAfter
 	for i, er := range res.ER {
 		res.QRAfter[i] = -1
 		for _, s := range er.States {
-			to, ok := ix.Successor(s, sig)
-			if !ok {
-				continue
-			}
-			for j, qr := range res.QR {
-				if qr.Dir == er.Dir && qr.Contains(to) {
+			if to, ok := ix.Successor(s, sig); ok {
+				if j := label[to] - ne; j >= 0 && res.QR[j].Dir == er.Dir {
 					res.QRAfter[i] = j
 					break
 				}
 			}
-			if res.QRAfter[i] >= 0 {
-				break
-			}
 		}
 	}
 	return res
+}
+
+// RegionTable is the analysis layer of one state graph: its dense
+// Index and the region decomposition of every signal. Every check the
+// paper defines (ER/QR, CFR, minimal states and unique entry,
+// persistency, the Monotonous Cover conditions) reads one signal's
+// decomposition, so a synthesis decomposes each graph once, into a
+// table, and hands the table on. Nothing writes to a table after
+// NewRegionTable returns: concurrent readers may share it, and must
+// not mutate its regions.
+type RegionTable struct {
+	Idx  *Index
+	Regs []*Regions // indexed by signal
+}
+
+// NewRegionTable builds g's dense Index and decomposes every signal,
+// in signal order.
+func NewRegionTable(g *Graph) *RegionTable {
+	ix := NewIndex(g)
+	t := &RegionTable{Idx: ix, Regs: make([]*Regions, ix.nsig)}
+	for sig := range t.Regs {
+		t.Regs[sig] = ix.RegionsOf(sig)
+	}
+	return t
 }
 
 // ERLabel renders an excitation region name such as "ER(+d,1)".
@@ -345,18 +317,17 @@ type PersistencyViolation struct {
 // pair of non-input signals violating persistency. A state graph is
 // persistent when the result is empty.
 func (g *Graph) PersistencyViolations() []PersistencyViolation {
-	return NewIndex(g).PersistencyViolations()
+	return NewRegionTable(g).PersistencyViolations()
 }
 
-// PersistencyViolations is the index-backed form of the graph method.
-func (ix *Index) PersistencyViolations() []PersistencyViolation {
-	g := ix.G
+// PersistencyViolations is the table-backed form of the graph method.
+func (t *RegionTable) PersistencyViolations() []PersistencyViolation {
+	ix, g := t.Idx, t.Idx.G
 	var out []PersistencyViolation
-	for sig := range g.Signals {
+	for sig, regs := range t.Regs {
 		if g.Input[sig] {
 			continue
 		}
-		regs := ix.RegionsOf(sig)
 		for _, er := range regs.ER {
 			var seen uint64
 			for _, tr := range g.Triggers(er) {

@@ -1,0 +1,78 @@
+package sg_test
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/benchdata"
+	"repro/internal/sg"
+	"repro/internal/stg"
+)
+
+// RegionsOf sizes its region bitsets to the regions it finds: one
+// decomposition of an 8,192-state graph costs a few state-indexed int
+// arrays plus ⌈n/64⌉ words per region, not ⌈n/64⌉ words per state.
+func TestRegionsOfAllocationSizedToRegions(t *testing.T) {
+	g, err := stg.BuildSG(benchdata.GenParallelizer(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumStates() != 8192 {
+		t.Fatalf("fork12 has %d states, want 8192", g.NumStates())
+	}
+	ix := sg.NewIndex(g)
+	const limit = 1 << 20
+	for sig := range g.Signals {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		regs := ix.RegionsOf(sig)
+		runtime.ReadMemStats(&after)
+		if b := after.TotalAlloc - before.TotalAlloc; b >= limit {
+			t.Errorf("RegionsOf(%s) on fork12 allocated %d bytes (%d regions), want < %d",
+				g.Signals[sig], b, len(regs.ER)+len(regs.QR), limit)
+		}
+	}
+}
+
+// Repair scoring decomposes every scanned signal of every candidate
+// graph, so the allocation count per call must stay a small constant.
+func TestRegionsOfAllocationCount(t *testing.T) {
+	for _, e := range benchdata.Table1 {
+		g, err := stg.BuildSG(e.STG())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := sg.NewIndex(g)
+		for sig := range g.Signals {
+			if n := testing.AllocsPerRun(20, func() { ix.RegionsOf(sig) }); n > 7 {
+				t.Errorf("%s: RegionsOf(%s) makes %.0f allocations, want ≤ 7", e.Name, g.Signals[sig], n)
+			}
+		}
+	}
+}
+
+// A region table holds exactly the per-signal decompositions RegionsOf
+// computes, and its index's early-exit output semi-modularity check
+// agrees with the conflict list.
+func TestRegionTableMatchesRegionsOf(t *testing.T) {
+	for name, g := range propertyGraphs(t) {
+		tab := sg.NewRegionTable(g)
+		if len(tab.Regs) != g.NumSignals() {
+			t.Fatalf("%s: table has %d signals, graph %d", name, len(tab.Regs), g.NumSignals())
+		}
+		for sig, regs := range tab.Regs {
+			ref := g.RegionsOf(sig)
+			if regs.Signal != sig || len(regs.ER) != len(ref.ER) || len(regs.QR) != len(ref.QR) {
+				t.Fatalf("%s/%s: table decomposition differs from RegionsOf", name, g.Signals[sig])
+			}
+			for i := range ref.ER {
+				if !equalIntSlices(regs.ER[i].States, ref.ER[i].States) || regs.QRAfter[i] != ref.QRAfter[i] {
+					t.Fatalf("%s/%s: ER #%d differs from RegionsOf", name, g.Signals[sig], i)
+				}
+			}
+		}
+		if got, want := tab.Idx.OutputSemiModular(), len(g.InternalConflicts()) == 0; got != want {
+			t.Fatalf("%s: OutputSemiModular %v, internal conflicts say %v", name, got, want)
+		}
+	}
+}

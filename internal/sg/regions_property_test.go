@@ -9,7 +9,9 @@ import (
 )
 
 // propertyGraphs yields a diverse set of graphs: paper figures, Table-1
-// benchmarks and random series-parallel specifications.
+// benchmarks, random series-parallel specifications, and generated
+// fork/join, wide-fork and selector-ring specifications whose region
+// partitions run to hundreds of states.
 func propertyGraphs(t *testing.T) map[string]*sg.Graph {
 	t.Helper()
 	out := map[string]*sg.Graph{
@@ -30,6 +32,19 @@ func propertyGraphs(t *testing.T) map[string]*sg.Graph {
 			t.Fatal(err)
 		}
 		out[spec.Net.Name] = g
+	}
+	for _, net := range []*stg.STG{
+		benchdata.GenParallelizer(6),
+		benchdata.GenParallelizer(8),
+		benchdata.GenWideFork(1, 4, 2).Net,
+		benchdata.GenWideFork(2, 3, 4).Net,
+		benchdata.GenSelectorRing(4),
+	} {
+		g, err := stg.BuildSG(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[net.Name] = g
 	}
 	return out
 }

@@ -180,28 +180,41 @@ func CoverNetlist(final *sg.Graph, mc *core.Report, opts Options) (*netlist.Netl
 	return nl, saved, nil
 }
 
+// Analysis is the analysis stage's result: the state graph's region
+// table, every signal decomposed once, and its property report. Repair
+// and, through the MC report, CoverNetlist read the table instead of
+// decomposing the graph again. Nothing writes to it after Analyze
+// returns, so concurrent stages may share one Analysis.
+type Analysis struct {
+	Table *sg.RegionTable
+	Props sg.PropertyReport
+}
+
 // Analyze is the analysis stage: the state graph's consistency check,
-// its behavioural property report, and the output semi-modularity
-// precondition without which no speed-independent implementation
-// exists.
-func Analyze(g *sg.Graph) (sg.PropertyReport, error) {
+// its region table and behavioural property report, and the output
+// semi-modularity precondition without which no speed-independent
+// implementation exists. On that last error it still returns the
+// analysis, whose report says why.
+func Analyze(g *sg.Graph) (*Analysis, error) {
 	if err := g.CheckConsistency(); err != nil {
-		return sg.PropertyReport{}, err
+		return nil, err
 	}
-	props := g.Check()
-	if !props.OutputSemiModular {
-		return props, fmt.Errorf("synth: %s is not output semi-modular; no speed-independent implementation exists", g.Name)
+	t := sg.NewRegionTable(g)
+	an := &Analysis{Table: t, Props: t.Check()}
+	if !an.Props.OutputSemiModular {
+		return an, fmt.Errorf("synth: %s is not output semi-modular; no speed-independent implementation exists", g.Name)
 	}
-	return props, nil
+	return an, nil
 }
 
 // Repair is the state-signal insertion stage (Section V): encode.Repair
-// until the MC requirement holds, then, on specs of at most 4096
-// states, the check that insertion preserved the specification's
-// visible behaviour (weak bisimulation with the inserted signals
-// hidden).
-func Repair(g *sg.Graph, opts encode.Options) (*encode.Result, error) {
-	fixed, err := encode.Repair(g, opts)
+// over the analysis's region table until the MC requirement holds,
+// then, on specs of at most 4096 states, the check that insertion
+// preserved the specification's visible behaviour (weak bisimulation
+// with the inserted signals hidden).
+func Repair(an *Analysis, opts encode.Options) (*encode.Result, error) {
+	g := an.Table.Idx.G
+	fixed, err := encode.RepairTable(an.Table, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -245,9 +258,13 @@ func stage(name, spec string, dur *time.Duration, run func(sp *obs.Span) error) 
 func FromGraph(g *sg.Graph, opts Options) (*Report, error) {
 	rep := &Report{Name: g.Name, Spec: g, Final: g}
 
+	var an *Analysis
 	err := stage("analyze", g.Name, &rep.AnalyzeTime, func(sp *obs.Span) (err error) {
 		sp.SetAttr("states", g.NumStates())
-		rep.Props, err = Analyze(g)
+		an, err = Analyze(g)
+		if an != nil {
+			rep.Props = an.Props
+		}
 		return err
 	})
 	if err != nil {
@@ -259,7 +276,7 @@ func FromGraph(g *sg.Graph, opts Options) (*Report, error) {
 		opts.Repair.Workers = opts.Parallel
 	}
 	err = stage("repair", g.Name, &rep.RepairTime, func(sp *obs.Span) error {
-		fixed, err := Repair(g, opts.Repair)
+		fixed, err := Repair(an, opts.Repair)
 		if err != nil {
 			return err
 		}

@@ -23,7 +23,7 @@
 // the fan-out cone of the single net a transition flips, and the
 // steady-state functions of RS latches are read off one levelized
 // sweep per state instead of a recursive probe per latch pin. The seed
-// engine is retained in reference.go as the differential oracle.
+// engine is retained in reference_test.go as the differential oracle.
 package verify
 
 import (

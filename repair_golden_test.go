@@ -51,10 +51,11 @@ func TestTable1RepairGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := synth.Analyze(g); err != nil {
+			an, err := synth.Analyze(g)
+			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := synth.Repair(g, encode.Options{})
+			res, err := synth.Repair(an, encode.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
