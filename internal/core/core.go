@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -32,25 +33,21 @@ import (
 
 // Analyzer caches the region decomposition and dense index of one state
 // graph and answers Monotonous Cover queries against it. Its query
-// methods are safe for concurrent use once constructed.
+// methods are safe for concurrent use once constructed, except
+// CountViolationsBudget, which reuses the analyzer's scratch buffers.
 type Analyzer struct {
 	G    *sg.Graph
 	Idx  *sg.Index     // dense excitation/successor index of G
 	Regs []*sg.Regions // indexed by signal
 
-	mintCubes []cube.Cube // per-state minterm cubes, for O(words) covers
-	workers   int         // worker-pool bound for per-signal fan-out
+	workers int // worker-pool bound for per-signal fan-out
 
-	// cfrBuf, ccBuf, candBuf, litsBuf and subBuf are the reusable
-	// buffers of the sequential existence-only scoring path
-	// (mcViolation). The parallel fan-outs of CheckGraph never touch
-	// them: they run checkSignal, which builds its cubes and CFRs per
-	// call.
+	// cfrBuf and failBuf are the reusable buffers of the sequential
+	// existence-only count (countSignal). The parallel fan-outs of
+	// CheckGraph never touch them: they run checkSignal, which builds
+	// its CFRs per call.
 	cfrBuf  sg.StateSet
-	ccBuf   cube.Cube
-	candBuf cube.Cube
-	litsBuf []int
-	subBuf  []int
+	failBuf []bool
 }
 
 // NewAnalyzer computes the dense index and the region decomposition of
@@ -70,7 +67,7 @@ func NewAnalyzerN(g *sg.Graph, workers int) *Analyzer {
 	par.ForEachHook(len(regs), workers, func(sig int) {
 		regs[sig] = ix.RegionsOf(sig)
 	}, obs.TaskHook("core.regions"))
-	return newAnalyzer(ix, regs, workers)
+	return &Analyzer{G: g, Idx: ix, Regs: regs, workers: workers}
 }
 
 // NewAnalyzerFrom builds an analyzer over a graph's region table
@@ -80,7 +77,7 @@ func NewAnalyzerN(g *sg.Graph, workers int) *Analyzer {
 // concurrently. workers bounds CheckGraph's per-signal fan-out as in
 // NewAnalyzerN.
 func NewAnalyzerFrom(t *sg.RegionTable, workers int) *Analyzer {
-	return newAnalyzer(t.Idx, slices.Clone(t.Regs), par.Workers(workers))
+	return &Analyzer{G: t.Idx.G, Idx: t.Idx, Regs: slices.Clone(t.Regs), workers: par.Workers(workers)}
 }
 
 // NewAnalyzerLazy builds a sequential analyzer that decomposes a
@@ -91,28 +88,7 @@ func NewAnalyzerFrom(t *sg.RegionTable, workers int) *Analyzer {
 // has already built for its semi-modularity check. Lazy analyzers are
 // not safe for concurrent use.
 func NewAnalyzerLazy(ix *sg.Index) *Analyzer {
-	return newAnalyzer(ix, make([]*sg.Regions, ix.G.NumSignals()), 1)
-}
-
-// newAnalyzer owns regs: nil entries are decomposed on first use.
-func newAnalyzer(ix *sg.Index, regs []*sg.Regions, workers int) *Analyzer {
-	g := ix.G
-	a := &Analyzer{G: g, Idx: ix, Regs: regs, workers: workers}
-	// One backing array for all minterm cubes, filled through one value
-	// row: budgeted scoring builds an analyzer per candidate graph, so
-	// per-state allocations would dominate the constructor's cost.
-	n := g.NumSignals()
-	a.mintCubes = make([]cube.Cube, g.NumStates())
-	row := make([]bool, n)
-	wpc := cube.WordsFor(n)
-	mw := make([]uint64, g.NumStates()*wpc)
-	for s := range a.mintCubes {
-		for i := range row {
-			row[i] = g.Value(s, i)
-		}
-		a.mintCubes[s] = cube.MintermInto(row, mw[s*wpc:(s+1)*wpc:(s+1)*wpc])
-	}
-	return a
+	return &Analyzer{G: ix.G, Idx: ix, Regs: make([]*sg.Regions, ix.G.NumSignals()), workers: 1}
 }
 
 // regs returns signal sig's region decomposition, computing it on
@@ -129,8 +105,69 @@ func (a *Analyzer) regs(sig int) *sg.Regions {
 	return r
 }
 
+// mask is a cube over the graph's signals as a (care, val) pair: bit b
+// of care is set when the cube has a literal on signal b, and bit b of
+// val is that literal's value. The cube covers a state exactly when
+// code&care == val, one word-wide test, because a state graph has at
+// most 64 signals. An empty literal sets its val bit outside care, so
+// a cube holding one covers nothing.
+type mask struct{ care, val uint64 }
+
+func (m mask) covers(code uint64) bool { return code&m.care == m.val }
+
+// drop returns m without the literals in lits.
+func (m mask) drop(lits uint64) mask { return mask{m.care &^ lits, m.val &^ lits} }
+
+// supercube returns the smallest mask covering both m and o: the
+// literals they share.
+func (m mask) supercube(o mask) mask {
+	care := m.care & o.care &^ (m.val ^ o.val)
+	return mask{care, m.val & care}
+}
+
+// toCube converts m to a cube over n signals.
+func (m mask) toCube(n int) cube.Cube {
+	c := cube.NewFull(n)
+	for l := m.care; l != 0; l &= l - 1 {
+		b := bits.TrailingZeros64(l)
+		if m.val>>uint(b)&1 == 1 {
+			c.Set(b, cube.One)
+		} else {
+			c.Set(b, cube.Zero)
+		}
+	}
+	return c
+}
+
+// maskOf converts cube c, which must be over at most 64 signals.
+func maskOf(c cube.Cube) mask {
+	var m mask
+	for b := 0; b < c.N(); b++ {
+		bit := uint64(1) << uint(b)
+		switch c.Get(b) {
+		case cube.One:
+			m.care |= bit
+			m.val |= bit
+		case cube.Zero:
+			m.care |= bit
+		case cube.Empty:
+			m.val |= bit
+		}
+	}
+	return m
+}
+
+// code returns the binary code of state s.
+func (a *Analyzer) code(s int) uint64 { return a.G.States[s].Code }
+
+// signals returns the mask with one bit per signal of the graph. A
+// variable shift by 64 yields 0, so it is all ones at 64 signals.
+func (a *Analyzer) signals() uint64 { return uint64(1)<<uint(a.G.NumSignals()) - 1 }
+
 // MintermCube returns the full minterm cube of state s.
-func (a *Analyzer) MintermCube(s int) cube.Cube { return a.mintCubes[s].Clone() }
+func (a *Analyzer) MintermCube(s int) cube.Cube {
+	return mask{a.signals(), a.code(s)}.toCube(a.G.NumSignals())
+}
 
 // CoverCube derives the canonical cover cube of the excitation region
 // (Definition 15, computed as in Lemma 3): one literal for every signal
@@ -138,26 +175,19 @@ func (a *Analyzer) MintermCube(s int) cube.Cube { return a.mintCubes[s].Clone() 
 // inside the region. It is the smallest cover cube; every other cover
 // cube is obtained by dropping literals from it.
 func (a *Analyzer) CoverCube(er *sg.Region) cube.Cube {
-	return a.coverCubeInto(er, cube.NewFull(a.G.NumSignals()))
+	return a.coverMask(er).toCube(a.G.NumSignals())
 }
 
-// coverCubeInto is CoverCube writing into a caller-provided cube of the
-// graph's signal width, returning it for convenience.
-func (a *Analyzer) coverCubeInto(er *sg.Region, c cube.Cube) cube.Cube {
-	g := a.G
-	c.Reset()
-	ref := er.States[0]
-	for b := range g.Signals {
-		if b == er.Signal || !a.Idx.Ordered(er, b) {
-			continue
-		}
-		if g.Value(ref, b) {
-			c.Set(b, cube.One)
-		} else {
-			c.Set(b, cube.Zero)
-		}
+// coverMask is CoverCube as a mask. The ordered signals (Definition 11)
+// are those excited in no state of the region, so one OR over the
+// region's excitation masks finds them all.
+func (a *Analyzer) coverMask(er *sg.Region) mask {
+	var excited uint64
+	for _, s := range er.States {
+		excited |= a.Idx.ExcitedMask(s)
 	}
-	return c
+	care := a.signals() &^ excited &^ (1 << uint(er.Signal))
+	return mask{care, a.code(er.States[0]) & care}
 }
 
 // Sets of Definition 13 for signal a:
@@ -259,11 +289,6 @@ func (v *Violation) Describe(g *sg.Graph) string {
 	return b.String()
 }
 
-// covers reports whether cube c covers state s.
-func (a *Analyzer) covers(c cube.Cube, s int) bool {
-	return c.ContainsMintermCube(a.mintCubes[s])
-}
-
 // erIndex locates er inside its signal's region list.
 func (a *Analyzer) erIndex(er *sg.Region) int {
 	for i, r := range a.regs(er.Signal).ER {
@@ -278,20 +303,25 @@ func (a *Analyzer) erIndex(er *sg.Region) int {
 // for cube c against excitation region er, returning nil when c is a
 // monotonous cover.
 func (a *Analyzer) CheckMC(er *sg.Region, c cube.Cube) *Violation {
-	g := a.G
-	regs := a.regs(er.Signal)
-	i := a.erIndex(er)
-	cfr := regs.CFR(i)
+	v := a.checkMC(er, maskOf(c), a.regs(er.Signal).CFR(a.erIndex(er)))
+	if v != nil {
+		v.Cube = c
+	}
+	return v
+}
 
+// checkMC is CheckMC on a mask, with er's CFR given; the violation it
+// returns carries no Cube.
+func (a *Analyzer) checkMC(er *sg.Region, m mask, cfr sg.StateSet) *Violation {
 	// Condition (1): cover all ER states.
 	var missed []int
 	for _, s := range er.States {
-		if !a.covers(c, s) {
+		if !m.covers(a.code(s)) {
 			missed = append(missed, s)
 		}
 	}
 	if len(missed) > 0 {
-		return &Violation{Kind: NotCovering, Signal: er.Signal, ER: er, Cube: c, States: missed}
+		return &Violation{Kind: NotCovering, Signal: er.Signal, ER: er, States: missed}
 	}
 
 	// Condition (2): the cube changes at most once along any trace inside
@@ -301,69 +331,72 @@ func (a *Analyzer) CheckMC(er *sg.Region, c cube.Cube) *Violation {
 	// for some trace — and, at the gate level, an AND-gate rise that no
 	// latch acknowledges, which a later input can disable (this exact
 	// hazard is reproduced in the verifier tests).
-	if u, v := a.doubleChange(cfr, c); u >= 0 {
-		return &Violation{Kind: NonMonotonic, Signal: er.Signal, ER: er, Cube: c, States: []int{u, v}}
+	if u, v := a.rise(cfr, m); u >= 0 {
+		return &Violation{Kind: NonMonotonic, Signal: er.Signal, ER: er, States: []int{u, v}}
 	}
 
 	// Condition (3): cover no reachable state outside the CFR.
 	var outside []int
-	for s := 0; s < g.NumStates(); s++ {
-		if !cfr.Has(s) && a.covers(c, s) {
-			outside = append(outside, s)
-		}
+	for s := a.outside(cfr, m, 0); s >= 0; s = a.outside(cfr, m, s+1) {
+		outside = append(outside, s)
 	}
 	if len(outside) > 0 {
-		return &Violation{Kind: OutsideCFR, Signal: er.Signal, ER: er, Cube: c, States: outside}
+		return &Violation{Kind: OutsideCFR, Signal: er.Signal, ER: er, States: outside}
 	}
 	return nil
 }
 
-// checkMCFast is CheckMC reduced to a yes/no verdict with the CFR
-// precomputed by the caller. The candidate-search loops (FindMC's
-// subset enumeration, shrinkMC's greedy dropping) consume only
-// nil-ness, so they skip the per-call CFR clone and the diagnostic
-// state lists of the full check.
-//
-//reprolint:hotpath
-func (a *Analyzer) checkMCFast(er *sg.Region, c cube.Cube, cfr sg.StateSet) bool {
-	for _, s := range er.States {
-		if !a.covers(c, s) {
-			return false
-		}
-	}
-	if u, _ := a.doubleChange(cfr, c); u >= 0 {
-		return false
-	}
-	for s := 0; s < a.G.NumStates(); s++ {
-		if !cfr.Has(s) && a.covers(c, s) {
-			return false
-		}
-	}
-	return true
-}
-
-// doubleChange looks for a monotonicity violation of cube c inside the
-// CFR: a rising edge (uncovered → covered) between CFR states. It
-// returns the edge's endpoints, or (-1, -1) when the cube only falls.
-func (a *Analyzer) doubleChange(cfr sg.StateSet, c cube.Cube) (int, int) {
-	g := a.G
-	to := -1
-	u := cfr.FindFirst(func(s int) bool {
-		if a.covers(c, s) {
-			return false
-		}
-		for _, e := range g.States[s].Succ {
-			if cfr.Has(e.To) && a.covers(c, e.To) {
-				to = e.To
-				return true
+// rise looks for a monotonicity violation of m inside the CFR: a rising
+// edge (uncovered → covered) between CFR states. It returns the first
+// such edge's endpoints in state order, or (-1, -1) when m only falls.
+func (a *Analyzer) rise(cfr sg.StateSet, m mask) (int, int) {
+	states := a.G.States
+	for w, word := range cfr {
+		for ; word != 0; word &= word - 1 {
+			s := w<<6 | bits.TrailingZeros64(word)
+			if m.covers(states[s].Code) {
+				continue
+			}
+			for _, e := range states[s].Succ {
+				if cfr.Has(e.To) && m.covers(states[e.To].Code) {
+					return s, e.To
+				}
 			}
 		}
-		return false
-	})
-	if u < 0 {
-		return -1, -1
 	}
-	return u, to
+	return -1, -1
+}
+
+// outside returns the first state from s = from on that m covers
+// outside set, or -1.
+func (a *Analyzer) outside(set sg.StateSet, m mask, from int) int {
+	for s := from; s < len(a.G.States); s++ {
+		if m.covers(a.code(s)) && !set.Has(s) {
+			return s
+		}
+	}
+	return -1
+}
+
+// forbidden reports whether state s lies where signal sig's up- (or,
+// with up false, down-) excitation function must be 0: for an
+// up-region, sig excited at 1 or stable at 0 (1*-set ∪ 0-set,
+// Definition 13); dually for a down-region. The test reads the state's
+// value and excitation bit, so no characteristic set is materialized.
+func (a *Analyzer) forbidden(s, sig int, up bool) bool {
+	return (a.code(s)>>uint(sig)&1 == a.Idx.ExcitedMask(s)>>uint(sig)&1) == up
+}
+
+// incorrect returns the first state from s = from on that m covers and
+// that is forbidden for the regions of signal sig with direction dir
+// (Definition 16), or -1.
+func (a *Analyzer) incorrect(sig int, dir sg.Dir, m mask, from int) int {
+	for s := from; s < len(a.G.States); s++ {
+		if m.covers(a.code(s)) && a.forbidden(s, sig, dir == sg.Plus) {
+			return s
+		}
+	}
+	return -1
 }
 
 // CheckCorrectCover verifies Definition 16: the cube must not cover any
@@ -371,22 +404,10 @@ func (a *Analyzer) doubleChange(cfr sg.StateSet, c cube.Cube) (int, int) {
 // — for an up-region, 1*-set(a) ∪ 0-set(a); for a down-region,
 // 0*-set(a) ∪ 1-set(a).
 func (a *Analyzer) CheckCorrectCover(er *sg.Region, c cube.Cube) *Violation {
-	// Membership in the forbidden set follows directly from the state's
-	// value/excitation classification (Definition 13), so no
-	// characteristic sets are materialized: a state is forbidden for an
-	// up-region when a is excited at 1 or stable at 0, and dually for a
-	// down-region.
-	sig := er.Signal
-	up := er.Dir == sg.Plus
+	m := maskOf(c)
 	var bad []int
-	for s := 0; s < a.G.NumStates(); s++ {
-		v, ex := a.G.Value(s, sig), a.Idx.Excited(s, sig)
-		if (v == ex) != up {
-			continue
-		}
-		if a.covers(c, s) {
-			bad = append(bad, s)
-		}
+	for s := a.incorrect(er.Signal, er.Dir, m, 0); s >= 0; s = a.incorrect(er.Signal, er.Dir, m, s+1) {
+		bad = append(bad, s)
 	}
 	if len(bad) > 0 {
 		return &Violation{Kind: IncorrectCover, Signal: er.Signal, ER: er, Cube: c, States: bad}
@@ -394,184 +415,127 @@ func (a *Analyzer) CheckCorrectCover(er *sg.Region, c cube.Cube) *Violation {
 	return nil
 }
 
-// FindMC searches for a monotonous cover cube for er. The canonical
-// cover cube is the smallest candidate; when it violates condition (2),
-// dropping literals can restore monotonicity at the risk of breaking
-// condition (3), so the search enumerates literal subsets in order of
-// increasing size. It returns the found cube, or the blocking violation
-// of the most constrained candidate.
-func (a *Analyzer) FindMC(er *sg.Region) (cube.Cube, *Violation) {
-	c := a.CoverCube(er)
-	v := a.CheckMC(er, c)
-	if v == nil {
-		return a.shrinkMC(er, c), nil
-	}
-	if v.Kind != NonMonotonic {
-		// Conditions (1) and (3) can only get worse by enlarging the
-		// cube; the canonical cube's verdict is final.
-		return cube.Cube{}, v
-	}
-	// Candidate literals to drop: only signals that change value inside
-	// the CFR can make the cube non-monotonic there — dropping a
-	// CFR-constant literal leaves the in-CFR pattern unchanged and only
-	// risks condition (3).
-	regs := a.regs(er.Signal)
-	cfr := regs.CFR(a.erIndex(er))
-	lits := a.varyingLiterals(c, cfr)
-	cand := c.Clone()
-	for size := 1; size <= len(lits); size++ {
-		var found cube.Cube
-		ok := forEachSubset(lits, size, func(drop []int) bool {
-			cand.CopyFrom(c)
-			for _, l := range drop {
-				cand.Set(l, cube.Full)
-			}
-			if a.checkMCFast(er, cand, cfr) {
-				found = cand.Clone()
-				return true
-			}
-			return false
-		})
-		if ok {
-			return a.shrinkMC(er, found), nil
-		}
-	}
-	return cube.Cube{}, v
+// target is what a cover search must satisfy: the excitation regions
+// to cover, each with its CFR, and the union of those CFRs. One region
+// makes the search Definition 17's; several regions of one signal and
+// direction make it Definition 19's, whose correct-cover premise
+// (Definition 16) then follows from condition (3), since the signal's
+// forbidden states all lie outside the union.
+type target struct {
+	regions []cfrOf
+	union   sg.StateSet
 }
 
-// mcViolation is the existence-only twin of FindMC: identical verdict
-// (a cover exists iff FindMC returns a nil violation — shrinking never
-// changes that), but no cube is built, cloned or shrunk. The budgeted
-// candidate scorer calls it thousands of times per repair round.
-func (a *Analyzer) mcViolation(er *sg.Region) *Violation {
-	regs := a.regs(er.Signal)
-	if a.cfrBuf == nil {
-		a.cfrBuf = sg.NewStateSet(a.G.NumStates())
-		a.ccBuf = cube.NewFull(a.G.NumSignals())
-		a.candBuf = cube.NewFull(a.G.NumSignals())
-	}
-	cfr := regs.CFRInto(a.erIndex(er), a.cfrBuf)
-	c := a.coverCubeInto(er, a.ccBuf)
-	// The three MC conditions of CheckMC, existence-only: first failure
-	// wins, no diagnostic state lists and no Cube in the Violation (the
-	// counting callers only test nil-ness; the cube is analyzer scratch).
-	// Conditions (1) and (3) are final for the canonical cube (enlarging
-	// only makes them worse); only a condition-(2) failure warrants the
-	// literal-dropping search below.
-	for _, s := range er.States {
-		if !a.covers(c, s) {
-			return &Violation{Kind: NotCovering, Signal: er.Signal, ER: er}
-		}
-	}
-	if u, _ := a.doubleChange(cfr, c); u < 0 {
-		for s := 0; s < a.G.NumStates(); s++ {
-			if !cfr.Has(s) && a.covers(c, s) {
-				return &Violation{Kind: OutsideCFR, Signal: er.Signal, ER: er, States: []int{s}}
-			}
-		}
-		return nil
-	}
-	a.litsBuf = a.varyingLitsInto(c, cfr, a.litsBuf[:0])
-	lits := a.litsBuf
-	if cap(a.subBuf) < 2*len(lits) {
-		a.subBuf = make([]int, 2*len(lits))
-	}
-	cand := a.candBuf
-	for size := 1; size <= len(lits); size++ {
-		if forEachSubsetScratch(lits, size, a.subBuf, func(drop []int) bool {
-			cand.CopyFrom(c)
-			for _, l := range drop {
-				cand.Set(l, cube.Full)
-			}
-			return a.checkMCFast(er, cand, cfr)
-		}) {
-			return nil
-		}
-	}
-	return &Violation{Kind: NonMonotonic, Signal: er.Signal, ER: er}
+// cfrOf is one excitation region of a target with its CFR.
+type cfrOf struct {
+	er  *sg.Region
+	cfr sg.StateSet
 }
 
-// shrinkMC greedily removes literals from a valid monotonous cover while
-// the MC conditions keep holding, mirroring the two-level optimization
-// the paper applies to the excitation functions (fewer literals, smaller
-// AND gates).
-func (a *Analyzer) shrinkMC(er *sg.Region, c cube.Cube) cube.Cube {
-	cfr := a.regs(er.Signal).CFR(a.erIndex(er))
-	c = c.Clone()
-	cand := c.Clone()
+// targetOf is the target of one excitation region with CFR cfr.
+func targetOf(er *sg.Region, cfr sg.StateSet) target {
+	return target{regions: []cfrOf{{er, cfr}}, union: cfr}
+}
+
+// checkMCFast reports whether m, which must cover every region of t
+// (any enlargement of a cover does), also meets conditions (2) and
+// (3): the verdict on every literal drop shrink tries.
+//
+//reprolint:hotpath
+func (a *Analyzer) checkMCFast(t *target, m mask) bool {
+	return a.firstRise(t, m) < 0 && a.outside(t.union, m, 0) < 0
+}
+
+// firstRise returns the source of a rising edge of m inside one of t's
+// CFRs (a condition-(2) failure), or -1 when m rises in none.
+func (a *Analyzer) firstRise(t *target, m mask) int {
+	for _, r := range t.regions {
+		if u, _ := a.rise(r.cfr, m); u >= 0 {
+			return u
+		}
+	}
+	return -1
+}
+
+// search looks for a cover of t among m, the canonical (smallest)
+// candidate, and the masks made by dropping some of m's literals; it
+// returns the one that drops the fewest. Condition (1) holds for a
+// canonical cube, whose ordered signals are constant on its region; a
+// mask that misses a region state is rejected as it stands. A rising
+// edge u → v inside a CFR, from an uncovered state to a covered one,
+// survives in every enlargement that keeps a literal u disagrees with,
+// so a cover must drop all of them; dropping them can expose new
+// rising edges, so the search repeats until none is left. Every cover
+// drops a superset of what this forced, and enlarging a cube only
+// worsens condition (3), so the result is a cover exactly when it
+// covers nothing outside the CFRs. (The first cover of an enumeration
+// of literal subsets by size is the same mask.)
+func (a *Analyzer) search(t *target, m mask) (mask, bool) {
+	for _, r := range t.regions {
+		for _, s := range r.er.States {
+			if !m.covers(a.code(s)) {
+				return mask{}, false
+			}
+		}
+	}
+	for {
+		u := a.firstRise(t, m)
+		if u < 0 {
+			return m, a.outside(t.union, m, 0) < 0
+		}
+		m = m.drop((a.code(u) ^ m.val) & m.care)
+	}
+}
+
+// shrink greedily removes literals from a cover of t while it stays
+// one, mirroring the two-level optimization the paper applies to the
+// excitation functions (fewer literals, smaller AND gates).
+func (a *Analyzer) shrink(t *target, m mask) mask {
 	for {
 		dropped := false
-		for _, l := range c.Literals() {
-			cand.CopyFrom(c)
-			cand.Set(l, cube.Full)
-			if a.checkMCFast(er, cand, cfr) {
-				c.CopyFrom(cand)
+		for l := m.care; l != 0; l &= l - 1 {
+			if cand := m.drop(l & -l); a.checkMCFast(t, cand) {
+				m = cand
 				dropped = true
 			}
 		}
 		if !dropped {
-			return c
+			return m
 		}
 	}
 }
 
-// varyingLiterals returns the cube's literals whose signals take both
-// values over the given state set.
-func (a *Analyzer) varyingLiterals(c cube.Cube, states sg.StateSet) []int {
-	return a.varyingLitsInto(c, states, nil)
-}
-
-// varyingLitsInto is varyingLiterals appending into a caller-provided
-// buffer, walking the cube directly instead of materializing Literals.
-func (a *Analyzer) varyingLitsInto(c cube.Cube, states sg.StateSet, out []int) []int {
-	for l := 0; l < c.N(); l++ {
-		if c.Get(l) == cube.Full {
-			continue
-		}
-		saw0, saw1 := false, false
-		states.FindFirst(func(s int) bool {
-			if a.G.Value(s, l) {
-				saw1 = true
-			} else {
-				saw0 = true
-			}
-			return saw0 && saw1
-		})
-		if saw0 && saw1 {
-			out = append(out, l)
-		}
+// FindMC searches for a monotonous cover cube for er. The canonical
+// cover cube is the smallest candidate; when it violates condition (2),
+// dropping literals can restore monotonicity at the risk of breaking
+// condition (3), so the search drops the fewest literals that can
+// (search). It returns the found cube, shrunk, or the blocking
+// violation of the canonical cube.
+func (a *Analyzer) FindMC(er *sg.Region) (cube.Cube, *Violation) {
+	n := a.G.NumSignals()
+	cfr := a.regs(er.Signal).CFR(a.erIndex(er))
+	t := targetOf(er, cfr)
+	m := a.coverMask(er)
+	if found, ok := a.search(&t, m); ok {
+		return a.shrink(&t, found).toCube(n), nil
 	}
-	return out
+	v := a.checkMC(er, m, cfr)
+	v.Cube = m.toCube(n)
+	return cube.Cube{}, v
 }
 
-// forEachSubset calls fn with every size-k subset of lits until fn
-// returns true; it reports whether fn succeeded.
-func forEachSubset(lits []int, k int, fn func([]int) bool) bool {
-	return forEachSubsetScratch(lits, k, make([]int, 2*k), fn)
-}
-
-// forEachSubsetScratch is forEachSubset with a caller-provided scratch
-// of at least 2k ints.
-func forEachSubsetScratch(lits []int, k int, scratch []int, fn func([]int) bool) bool {
-	idx := scratch[:k]
-	sub := scratch[k : 2*k] // recycled between calls; fn must not retain it
-	var rec func(start, depth int) bool
-	rec = func(start, depth int) bool {
-		if depth == k {
-			for i, j := range idx {
-				sub[i] = lits[j]
-			}
-			return fn(sub)
-		}
-		for i := start; i <= len(lits)-(k-depth); i++ {
-			idx[depth] = i
-			if rec(i+1, depth+1) {
-				return true
-			}
-		}
-		return false
+// hasMC is the existence-only twin of FindMC for the i-th excitation
+// region of regs: a cover exists iff FindMC returns a nil violation —
+// shrinking never changes that — but no cube is built or shrunk. The
+// budgeted candidate scorer calls it thousands of times per repair
+// round.
+func (a *Analyzer) hasMC(regs *sg.Regions, i int) bool {
+	if a.cfrBuf == nil {
+		a.cfrBuf = sg.NewStateSet(a.G.NumStates())
 	}
-	return rec(0, 0)
+	t := targetOf(regs.ER[i], regs.CFRInto(i, a.cfrBuf))
+	_, ok := a.search(&t, a.coverMask(regs.ER[i]))
+	return ok
 }
 
 // RegionResult is the MC verdict for one excitation region.
@@ -600,65 +564,51 @@ type Wire struct {
 // plain wire of another signal b: the literal b (resp. b') covers every
 // ER(+sig) correctly and the literal b' (resp. b) covers every ER(−sig)
 // correctly. It returns the wire description and true on success.
+//
+// Monotonicity is waived in this degenerate case, so only Definition
+// 16 and condition (1) remain, and both are tested for every b at once:
+// plain and inverted hold the signals whose literal pair is still a
+// candidate, and each ER state, then each forbidden state, clears the
+// signals whose value there rules the pair out. The ER states reject
+// most pairs, and the scan over all states stops once none is left.
 func (a *Analyzer) WireOf(sig int) (Wire, bool) {
 	regs := a.regs(sig)
 	if len(regs.ER) == 0 {
 		return Wire{}, false
 	}
-	n := a.G.NumSignals()
-	// One candidate literal is checked against every region for every
-	// signal, so the forbidden sets (identical across the whole scan)
-	// are computed once and the cover check early-exits on the first
-	// forbidden state instead of assembling diagnostics.
-	sets := a.SetsOf(sig)
-	coverOK := func(er *sg.Region, c cube.Cube) bool {
-		f1, f2 := sets.OneStar, sets.Zero
-		if er.Dir == sg.Minus {
-			f1, f2 = sets.ZeroStar, sets.One
-		}
-		bad := func(s int) bool { return a.covers(c, s) }
-		return f1.FindFirst(bad) < 0 && f2.FindFirst(bad) < 0
-	}
-	for b := range a.G.Signals {
-		if b == sig {
-			continue
-		}
-		for _, inverted := range []bool{false, true} {
-			up := cube.NewFull(n)
-			down := cube.NewFull(n)
-			if inverted {
-				up.Set(b, cube.Zero)
-				down.Set(b, cube.One)
+	cand := a.signals() &^ (1 << uint(sig))
+	plain, inverted := cand, cand
+	hasUp, hasDown := false, false
+	// Condition (1): b must be 1 on every ER(+sig) state and 0 on every
+	// ER(−sig) state (inverted: the other way round).
+	for _, er := range regs.ER {
+		up := er.Dir == sg.Plus
+		hasUp, hasDown = hasUp || up, hasDown || !up
+		for _, s := range er.States {
+			if code := a.code(s); up {
+				plain, inverted = plain&code, inverted&^code
 			} else {
-				up.Set(b, cube.One)
-				down.Set(b, cube.Zero)
-			}
-			ok := true
-			for _, er := range regs.ER {
-				c := up
-				if er.Dir == sg.Minus {
-					c = down
-				}
-				// The literal must cover the whole ER and cover it
-				// correctly (Definition 16) — monotonicity is waived in
-				// the degenerate case.
-				for _, s := range er.States {
-					if !a.covers(c, s) {
-						ok = false
-						break
-					}
-				}
-				if !ok || !coverOK(er, c) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return Wire{Of: b, Inverted: inverted}, true
+				plain, inverted = plain&^code, inverted&code
 			}
 		}
 	}
-	return Wire{}, false
+	// Definition 16: the up literal must be 0 on every state forbidden
+	// for the up-regions, the down literal on every state forbidden for
+	// the down-regions.
+	for s := 0; s < a.G.NumStates() && plain|inverted != 0; s++ {
+		code := a.code(s)
+		if hasUp && a.forbidden(s, sig, true) {
+			plain, inverted = plain&^code, inverted&code
+		}
+		if hasDown && a.forbidden(s, sig, false) {
+			plain, inverted = plain&code, inverted&^code
+		}
+	}
+	if plain|inverted == 0 {
+		return Wire{}, false
+	}
+	b := bits.TrailingZeros64(plain | inverted)
+	return Wire{Of: b, Inverted: plain>>uint(b)&1 == 0}, true
 }
 
 // Report is the outcome of checking the MC requirement on a whole graph.
@@ -798,27 +748,24 @@ func (a *Analyzer) CountViolationsBudget(budget int, hot ...string) int {
 // footprint feeds the Theorem-5 side condition).
 func (a *Analyzer) countSignal(sig int) int {
 	regs := a.regs(sig)
-	var results []RegionResult
-	failed := false
-	for _, er := range regs.ER {
-		v := a.mcViolation(er)
-		if v != nil {
-			failed = true
-		}
-		results = append(results, RegionResult{Signal: sig, ER: er, Violation: v})
+	if cap(a.failBuf) < len(regs.ER) {
+		a.failBuf = make([]bool, len(regs.ER))
 	}
-	if !failed {
-		return 0
+	failed := a.failBuf[:len(regs.ER)]
+	anyFailed := false
+	for i := range regs.ER {
+		failed[i] = !a.hasMC(regs, i)
+		anyFailed = anyFailed || failed[i]
 	}
-	if a.groupSameFunction(sig, results) {
+	if !anyFailed || a.groupSameFunction(sig, failed, nil) {
 		return 0
 	}
 	if _, ok := a.WireOf(sig); ok {
 		return 0
 	}
 	n := 0
-	for i := range results {
-		if results[i].Violation != nil {
+	for _, f := range failed {
+		if f {
 			n++
 		}
 	}
@@ -828,28 +775,32 @@ func (a *Analyzer) countSignal(sig int) int {
 // checkSignal evaluates the MC requirement for every excitation region
 // of one signal, including the shared-cube and degenerate fallbacks.
 func (a *Analyzer) checkSignal(sig int) []RegionResult {
-	var results []RegionResult
-	failed := false
-	for _, er := range a.regs(sig).ER {
+	n := a.G.NumSignals()
+	ers := a.regs(sig).ER
+	results := make([]RegionResult, len(ers))
+	failed := make([]bool, len(ers))
+	anyFailed := false
+	for i, er := range ers {
 		c, v := a.FindMC(er)
-		if v != nil {
-			failed = true
-		}
-		results = append(results, RegionResult{Signal: sig, ER: er, Cube: c, Violation: v})
+		results[i] = RegionResult{Signal: sig, ER: er, Cube: c, Violation: v}
+		failed[i] = v != nil
+		anyFailed = anyFailed || failed[i]
 	}
-	if failed {
+	if anyFailed {
 		// Multiple transitions of one signal may share a single cube
 		// (Definition 19 with F a set of same-signal transitions):
 		// e.g. two excitation regions with identical codes in
 		// alternative branches. Try a generalized cube over all
 		// regions of the same direction.
-		failed = !a.groupSameFunction(sig, results)
+		anyFailed = !a.groupSameFunction(sig, failed, func(i int, m mask) {
+			results[i].Cube = m.toCube(n)
+			results[i].Violation = nil
+		})
 	}
-	if failed {
+	if anyFailed {
 		// Degenerate fallback: the whole signal as a single-literal
 		// wire needs only correct covers (Section IV, note 2).
 		if w, ok := a.WireOf(sig); ok {
-			n := a.G.NumSignals()
 			for i := range results {
 				c := cube.NewFull(n)
 				lit := cube.One
@@ -867,140 +818,102 @@ func (a *Analyzer) checkSignal(sig int) []RegionResult {
 }
 
 // groupSameFunction attempts to repair the failed regions of one signal
-// by covering groups of same-direction regions with one generalized MC
-// cube. It updates results in place and reports whether every region of
-// the signal ended up violation-free.
-func (a *Analyzer) groupSameFunction(sig int, results []RegionResult) bool {
+// (failed is indexed like the signal's ERs) by covering groups of
+// same-direction regions with one generalized MC cube. The candidate
+// groups are all regions of a direction, then only its failed ones.
+// For every group it accepts it clears failed and, when cover is not
+// nil, calls cover with each member's index and the shared cube; it
+// reports whether no region is left failed.
+//
+// Most groups fail because their supercube is not even a correct cover
+// (Definition 16), so that test runs first, before any CFR is built.
+func (a *Analyzer) groupSameFunction(sig int, failed []bool, cover func(i int, m mask)) bool {
+	regs := a.regs(sig)
 	for _, dir := range []sg.Dir{sg.Plus, sg.Minus} {
-		var idx []int
-		anyFailed := false
-		for i := range results {
-			if results[i].ER.Dir == dir {
-				idx = append(idx, i)
-				if results[i].Violation != nil {
-					anyFailed = true
+		same, nfailed := 0, 0
+		for i, er := range regs.ER {
+			if er.Dir == dir {
+				same++
+				if failed[i] {
+					nfailed++
 				}
 			}
 		}
-		if !anyFailed || len(idx) < 2 {
+		if nfailed == 0 || same < 2 {
 			continue
 		}
-		// Candidate groups: all same-direction regions, then only the
-		// failed ones.
-		groups := [][]int{idx}
-		var failedOnly []int
-		for _, i := range idx {
-			if results[i].Violation != nil {
-				failedOnly = append(failedOnly, i)
+		for _, failedOnly := range []bool{false, true} {
+			if failedOnly && (nfailed < 2 || nfailed == same) {
+				continue
 			}
-		}
-		if len(failedOnly) >= 2 && len(failedOnly) < len(idx) {
-			groups = append(groups, failedOnly)
-		}
-		for _, group := range groups {
-			ers := make([]*sg.Region, len(group))
-			sup := a.CoverCube(results[group[0]].ER)
-			for k, i := range group {
-				ers[k] = results[i].ER
-				if k > 0 {
-					sup = sup.Supercube(a.CoverCube(results[i].ER))
+			in := func(i int) bool { return regs.ER[i].Dir == dir && (!failedOnly || failed[i]) }
+			var sup mask
+			first := true
+			for i, er := range regs.ER {
+				if in(i) {
+					if m := a.coverMask(er); first {
+						sup, first = m, false
+					} else {
+						sup = sup.supercube(m)
+					}
 				}
 			}
-			c, ok := a.findGeneralizedMC(ers, sup)
+			if a.incorrect(sig, dir, sup, 0) >= 0 {
+				continue
+			}
+			t := a.groupTarget(regs, in)
+			found, ok := a.search(&t, sup)
 			if !ok {
 				continue
 			}
+			c := a.shrink(&t, found)
 			// Theorem 5 side condition within the signal: the shared
-			// cube must not touch the regions outside the group.
+			// cube must not touch the same-direction regions outside
+			// the group.
 			touches := false
-			for _, i := range idx {
-				inGroup := false
-				for _, j := range group {
-					if i == j {
-						inGroup = true
-					}
-				}
-				if inGroup {
+			for i, er := range regs.ER {
+				if er.Dir != dir || in(i) {
 					continue
 				}
-				for _, s := range results[i].ER.States {
-					if a.covers(c, s) {
+				for _, s := range er.States {
+					if c.covers(a.code(s)) {
 						touches = true
+						break
 					}
 				}
 			}
 			if touches {
 				continue
 			}
-			for _, i := range group {
-				results[i].Cube = c
-				results[i].Violation = nil
+			for i := range regs.ER {
+				if in(i) {
+					failed[i] = false
+					if cover != nil {
+						cover(i, c)
+					}
+				}
 			}
 			break
 		}
 	}
-	for i := range results {
-		if results[i].Violation != nil {
-			return false
-		}
-	}
-	return true
+	return !slices.Contains(failed, true)
 }
 
-// findGeneralizedMC searches for a generalized MC cube for the region
-// set, starting from the given candidate and dropping literals on
-// non-monotonicity, mirroring FindMC.
-func (a *Analyzer) findGeneralizedMC(ers []*sg.Region, c cube.Cube) (cube.Cube, bool) {
-	v := a.CheckGeneralizedMC(ers, c)
-	if v == nil {
-		return a.shrinkGeneralized(ers, c), true
-	}
-	if v.Kind != NonMonotonic {
-		return cube.Cube{}, false
-	}
-	union := sg.NewStateSet(a.G.NumStates())
-	for _, er := range ers {
-		regs := a.regs(er.Signal)
-		union.UnionWith(regs.CFR(a.erIndexIn(regs, er)))
-	}
-	lits := a.varyingLiterals(c, union)
-	for size := 1; size <= len(lits); size++ {
-		var found cube.Cube
-		ok := forEachSubset(lits, size, func(drop []int) bool {
-			cand := c.Clone()
-			for _, l := range drop {
-				cand.Set(l, cube.Full)
-			}
-			if a.CheckGeneralizedMC(ers, cand) == nil {
-				found = cand
-				return true
-			}
-			return false
-		})
-		if ok {
-			return a.shrinkGeneralized(ers, found), true
+// groupTarget is the target of the excitation regions of regs selected
+// by in, with the union and the CFRs carved from one allocation.
+func (a *Analyzer) groupTarget(regs *sg.Regions, in func(i int) bool) target {
+	words := (a.G.NumStates() + 63) / 64
+	buf := make(sg.StateSet, (len(regs.ER)+1)*words)
+	t := target{regions: make([]cfrOf, 0, len(regs.ER)), union: buf[:words:words]}
+	for i, er := range regs.ER {
+		if in(i) {
+			buf = buf[words:]
+			cfr := regs.CFRInto(i, buf[:words:words])
+			t.regions = append(t.regions, cfrOf{er, cfr})
+			t.union.UnionWith(cfr)
 		}
 	}
-	return cube.Cube{}, false
-}
-
-// shrinkGeneralized is shrinkMC for generalized covers.
-func (a *Analyzer) shrinkGeneralized(ers []*sg.Region, c cube.Cube) cube.Cube {
-	c = c.Clone()
-	for {
-		dropped := false
-		for _, l := range c.Literals() {
-			cand := c.Clone()
-			cand.Set(l, cube.Full)
-			if a.CheckGeneralizedMC(ers, cand) == nil {
-				c = cand
-				dropped = true
-			}
-		}
-		if !dropped {
-			return c
-		}
-	}
+	return t
 }
 
 // ExcitationFunctions assembles the up- and down-excitation covers

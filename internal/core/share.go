@@ -35,11 +35,12 @@ func (a *Analyzer) CheckGeneralizedMC(ers []*sg.Region, c cube.Cube) *Violation 
 			return v
 		}
 	}
+	m := maskOf(c)
 	// Condition (1).
 	for _, er := range ers {
 		var missed []int
 		for _, s := range er.States {
-			if !a.covers(c, s) {
+			if !m.covers(a.code(s)) {
 				missed = append(missed, s)
 			}
 		}
@@ -50,33 +51,21 @@ func (a *Analyzer) CheckGeneralizedMC(ers []*sg.Region, c cube.Cube) *Violation 
 	// Condition (2), per region CFR.
 	union := sg.NewStateSet(a.G.NumStates())
 	for _, er := range ers {
-		regs := a.regs(er.Signal)
-		cfr := regs.CFR(a.erIndexIn(regs, er))
-		if u, v := a.doubleChange(cfr, c); u >= 0 {
+		cfr := a.regs(er.Signal).CFR(a.erIndex(er))
+		if u, v := a.rise(cfr, m); u >= 0 {
 			return &Violation{Kind: NonMonotonic, Signal: er.Signal, ER: er, Cube: c, States: []int{u, v}}
 		}
 		union.UnionWith(cfr)
 	}
 	// Condition (3) over the union of CFRs.
 	var outside []int
-	for s := 0; s < a.G.NumStates(); s++ {
-		if !union.Has(s) && a.covers(c, s) {
-			outside = append(outside, s)
-		}
+	for s := a.outside(union, m, 0); s >= 0; s = a.outside(union, m, s+1) {
+		outside = append(outside, s)
 	}
 	if len(outside) > 0 {
 		return &Violation{Kind: OutsideCFR, Signal: ers[0].Signal, ER: ers[0], Cube: c, States: outside}
 	}
 	return nil
-}
-
-func (a *Analyzer) erIndexIn(regs *sg.Regions, er *sg.Region) int {
-	for i, r := range regs.ER {
-		if r == er {
-			return i
-		}
-	}
-	panic("core: region not in its signal's decomposition")
 }
 
 // Functions holds the up- and down-excitation covers of one signal.
@@ -134,6 +123,7 @@ func (a *Analyzer) ShareOptimize(rep *Report) (map[int]Functions, int, error) {
 		// the group, the cube must not touch that signal's other
 		// excitation regions (they are covered by their own cubes, and
 		// a second overlapping cube would fire inside them).
+		m := maskOf(c)
 		var seen uint64
 		for _, r := range regions {
 			if seen>>uint(r.Signal)&1 == 1 {
@@ -145,7 +135,7 @@ func (a *Analyzer) ShareOptimize(rep *Report) (map[int]Functions, int, error) {
 					continue
 				}
 				for _, s := range er.States {
-					if a.covers(c, s) {
+					if m.covers(a.code(s)) {
 						return false
 					}
 				}

@@ -182,44 +182,14 @@ func symCovered(sp SymSpace, c cube.Cube) int {
 	return s
 }
 
-// symCheckMC evaluates the three MC conditions of Definition 17 as set
-// operations: (1) the ER lies inside the covered set, (2) no edge inside
-// the CFR rises from uncovered to covered, (3) nothing reachable outside
-// the CFR is covered.
-func symCheckMC(sp SymSpace, er *SymRegion, cfr int, c cube.Cube) bool {
-	m := sp.Manager()
-	covered := symCovered(sp, c)
-	if m.Diff(er.Set, covered) != bdd.False {
-		return false
-	}
-	rising := m.And(sp.ImageBDD(m.Diff(cfr, covered)), m.And(cfr, covered))
-	if rising != bdd.False {
-		return false
-	}
-	return m.And(m.Diff(sp.ReachedBDD(), cfr), covered) == bdd.False
-}
-
-// symVaryingLiterals lists the cube's literals whose signals take both
-// values over the given set, in literal (= signal) order — the candidate
-// drops of FindMC's subset search.
-func symVaryingLiterals(sp SymSpace, c cube.Cube, set int) []int {
-	m := sp.Manager()
-	var out []int
-	for _, b := range c.Literals() {
-		if m.And(set, sp.ValueBDD(b, false)) != bdd.False &&
-			m.And(set, sp.ValueBDD(b, true)) != bdd.False {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // SymMCViolation is the symbolic, existence-only Monotonous Cover check
 // for one excitation region: it reports whether the region has NO
-// monotonous cover. The search mirrors Analyzer.mcViolation exactly —
-// canonical cube first, then literal subsets of the CFR-varying literals
-// in ascending size — so its verdict matches the explicit engine's on
-// corresponding regions.
+// monotonous cover. It runs Analyzer.search's forced-drop closure on
+// state sets, so its verdict matches the explicit engine's on
+// corresponding regions: from the canonical cube, every literal that
+// the source of a rising edge inside the CFR disagrees with is dropped
+// until no edge rises, and the result is a cover exactly when it covers
+// nothing reachable outside the CFR.
 func SymMCViolation(sp SymSpace, regs *SymRegions, i int) bool {
 	m := sp.Manager()
 	er := regs.ER[i]
@@ -228,33 +198,22 @@ func SymMCViolation(sp SymSpace, regs *SymRegions, i int) bool {
 		cfr = m.Or(cfr, regs.QR[j].Set)
 	}
 	c := symCoverCube(sp, er)
-	if symCheckMC(sp, er, cfr, c) {
-		return false
-	}
-	// The canonical cube is the tightest cover: conditions (1) and (3)
-	// only worsen when it grows, so a failure is final unless dropping
-	// CFR-varying literals can restore monotonicity.
 	covered := symCovered(sp, c)
 	if m.Diff(er.Set, covered) != bdd.False {
-		return true // condition (1): can only get worse
+		return true // condition (1) fails for the cube as it stands
 	}
-	if m.And(m.Diff(sp.ReachedBDD(), cfr), covered) != bdd.False {
-		return true // condition (3): can only get worse
-	}
-	lits := symVaryingLiterals(sp, c, cfr)
-	cand := c.Clone()
-	for size := 1; size <= len(lits); size++ {
-		if forEachSubset(lits, size, func(drop []int) bool {
-			cand.CopyFrom(c)
-			for _, l := range drop {
-				cand.Set(l, cube.Full)
-			}
-			return symCheckMC(sp, er, cfr, cand)
-		}) {
-			return false
+	for {
+		sources := m.And(m.Diff(cfr, covered), sp.PreimageBDD(m.And(cfr, covered)))
+		if sources == bdd.False {
+			return m.And(m.Diff(sp.ReachedBDD(), cfr), covered) != bdd.False
 		}
+		for _, b := range c.Literals() {
+			if m.And(sources, sp.ValueBDD(b, c.Get(b) != cube.One)) != bdd.False {
+				c.Set(b, cube.Full)
+			}
+		}
+		covered = symCovered(sp, c)
 	}
-	return true
 }
 
 // SymMCSummary runs the existence-only MC check over every excitation

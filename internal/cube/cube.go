@@ -49,8 +49,8 @@ func (l Lit) String() string {
 const varsPerWord = 32
 
 // Cube is a conjunction of literals over n Boolean variables.
-// The zero value is not usable; construct cubes with NewFull,
-// MintermInto, Parse or FromLits.
+// The zero value is not usable; construct cubes with NewFull, Parse or
+// FromLits.
 type Cube struct {
 	n int
 	w []uint64
@@ -87,26 +87,6 @@ func NewFull(n int) Cube {
 	return c
 }
 
-// WordsFor returns the number of backing words of an n-variable cube,
-// letting callers batch-allocate storage for MintermInto.
-func WordsFor(n int) int { return words(n) }
-
-// MintermInto returns the cube fixing every variable to the given
-// value, written into caller-provided backing words (len(w) must be
-// WordsFor(len(values))); len(values) determines the variable count.
-func MintermInto(values []bool, w []uint64) Cube {
-	c := Cube{n: len(values), w: w}
-	c.Reset()
-	for i, v := range values {
-		if v {
-			c.Set(i, One)
-		} else {
-			c.Set(i, Zero)
-		}
-	}
-	return c
-}
-
 // FromLits builds a cube over n variables from an explicit literal map;
 // variables not mentioned are don't cares.
 func FromLits(n int, lits map[int]Lit) Cube {
@@ -136,13 +116,6 @@ func (c Cube) Set(i int, l Lit) {
 // scratch cube instead of cloning per candidate.
 func (c Cube) CopyFrom(o Cube) {
 	copy(c.w, o.w)
-}
-
-// Reset makes c the universal cube (all don't cares) again, in place.
-func (c Cube) Reset() {
-	for i := range c.w {
-		c.w[i] = fullWordMask(c.n, i)
-	}
 }
 
 // Clone returns an independent copy of the cube.
@@ -245,19 +218,6 @@ func (c Cube) ContainsMinterm(values []bool) bool {
 	for i, v := range values {
 		l := c.Get(i)
 		if v && l == Zero || !v && l == One || l == Empty {
-			return false
-		}
-	}
-	return true
-}
-
-// ContainsMintermCube reports whether c covers the minterm held by m, a
-// cube with every variable assigned. In the positional encoding a cube
-// covers a minterm exactly when every assigned lane of the minterm
-// survives intersection, which is one mask test per word.
-func (c Cube) ContainsMintermCube(m Cube) bool {
-	for i, w := range m.w {
-		if c.w[i]&w != w {
 			return false
 		}
 	}

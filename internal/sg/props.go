@@ -2,6 +2,7 @@ package sg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -243,12 +244,13 @@ func (g *Graph) Check() PropertyReport {
 func (t *RegionTable) Check() PropertyReport {
 	ix, g := t.Idx, t.Idx.G
 	conf := ix.Conflicts()
+	dets := ix.Detonants(false)
 	rep := PropertyReport{
 		Consistent:    g.CheckConsistency() == nil,
 		Persistent:    len(t.PersistencyViolations()) == 0,
 		CSC:           len(ix.CSCViolations()) == 0,
 		USC:           g.USC(),
-		Detonants:     len(ix.Detonants(false)),
+		Detonants:     len(dets),
 		States:        len(g.States),
 		UniqueEntryOK: true,
 	}
@@ -263,7 +265,9 @@ func (t *RegionTable) Check() PropertyReport {
 	rep.InputConflicts = len(conf) - internal
 	rep.OutputSemiModular = internal == 0
 	rep.Distributive = rep.SemiModular && rep.Detonants == 0
-	rep.OutputDistrib = rep.OutputSemiModular && len(ix.Detonants(true)) == 0
+	// Detonants(true) is the non-input subset of dets.
+	rep.OutputDistrib = rep.OutputSemiModular &&
+		!slices.ContainsFunc(dets, func(d Detonant) bool { return !g.Input[d.Signal] })
 	for sig, regs := range t.Regs {
 		if g.Input[sig] {
 			continue

@@ -304,6 +304,15 @@ func TestDetonantDetection(t *testing.T) {
 	if g.Distributive() {
 		t.Error("graph with detonant state cannot be distributive")
 	}
+	// The property report counts every detonant, but only a non-input
+	// one breaks output distributivity.
+	if rep := g.Check(); rep.Detonants != 1 || rep.OutputDistrib {
+		t.Errorf("report: %d detonants, output distributive %v; want 1, false", rep.Detonants, rep.OutputDistrib)
+	}
+	g.Input[2] = true
+	if rep := g.Check(); rep.Detonants != 1 || !rep.OutputDistrib {
+		t.Errorf("input c: %d detonants, output distributive %v; want 1, true", rep.Detonants, rep.OutputDistrib)
+	}
 }
 
 func TestInternalConflictDetection(t *testing.T) {
