@@ -42,12 +42,20 @@ type Analyzer struct {
 
 	workers int // worker-pool bound for per-signal fan-out
 
-	// cfrBuf and failBuf are the reusable buffers of the sequential
-	// existence-only count (countSignal). The parallel fan-outs of
-	// CheckGraph never touch them: they run checkSignal, which builds
-	// its CFRs per call.
-	cfrBuf  sg.StateSet
-	failBuf []bool
+	// The reusable buffers of the sequential existence-only count
+	// (CountViolationsBudget): its scan order, the CFR of hasMC, the
+	// failed flags of countSignal and the sets and regions of a grouped
+	// target. The parallel fan-outs of CheckGraph never touch them: they
+	// run checkSignal, which builds its CFRs and targets per call.
+	order    []int
+	cfrBuf   sg.StateSet
+	failBuf  []bool
+	groupBuf sg.StateSet
+	groupCFR []cfrOf
+
+	// arena, set by Reset, holds the lazily decomposed regions; nil
+	// decomposes each signal into memory of its own.
+	arena *sg.RegionArena
 }
 
 // NewAnalyzer computes the dense index and the region decomposition of
@@ -91,6 +99,26 @@ func NewAnalyzerLazy(ix *sg.Index) *Analyzer {
 	return &Analyzer{G: ix.G, Idx: ix, Regs: make([]*sg.Regions, ix.G.NumSignals()), workers: 1}
 }
 
+// Reset turns a into a lazy analyzer of ix's graph, like the one
+// NewAnalyzerLazy builds, but keeps a's buffers: a caller scoring graph
+// after graph through one analyzer stops allocating once they fit its
+// largest graph. Regions are decomposed into an arena the analyzer
+// owns, so every *sg.Regions and *sg.Region it handed out before Reset
+// is invalid after it.
+func (a *Analyzer) Reset(ix *sg.Index) {
+	if a.arena == nil {
+		a.arena = new(sg.RegionArena)
+	}
+	a.arena.Reset()
+	n := ix.G.NumSignals()
+	if cap(a.Regs) < n {
+		a.Regs = make([]*sg.Regions, n)
+	}
+	a.Regs = a.Regs[:n]
+	clear(a.Regs)
+	a.G, a.Idx, a.workers = ix.G, ix, 1
+}
+
 // regs returns signal sig's region decomposition, computing it on
 // demand. Every internal consumer goes through this accessor so lazy
 // analyzers work on all paths; eager analyzers always hit the
@@ -100,7 +128,7 @@ func (a *Analyzer) regs(sig int) *sg.Regions {
 	if r := a.Regs[sig]; r != nil {
 		return r
 	}
-	r := a.Idx.RegionsOf(sig)
+	r := a.Idx.RegionsIn(sig, a.arena)
 	a.Regs[sig] = r
 	return r
 }
@@ -530,9 +558,7 @@ func (a *Analyzer) FindMC(er *sg.Region) (cube.Cube, *Violation) {
 // budgeted candidate scorer calls it thousands of times per repair
 // round.
 func (a *Analyzer) hasMC(regs *sg.Regions, i int) bool {
-	if a.cfrBuf == nil {
-		a.cfrBuf = sg.NewStateSet(a.G.NumStates())
-	}
+	a.cfrBuf = sized(a.cfrBuf, len(regs.ER[i].Set()))
 	t := targetOf(regs.ER[i], regs.CFRInto(i, a.cfrBuf))
 	_, ok := a.search(&t, a.coverMask(regs.ER[i]))
 	return ok
@@ -688,32 +714,25 @@ func (a *Analyzer) CheckGraph() *Report {
 // order, but the one thing budgeted callers consume — "did the
 // violation count reach the budget, and if not, what is it exactly" —
 // cannot.
+//
+// The order is built in the analyzer's reusable buffer: the hot names'
+// non-input signals at their first mention, then the rest. A graph has
+// at most 64 signals, so one mask records which are placed.
 func (a *Analyzer) scanOrder(hot []string) []int {
-	sigs := make([]int, 0, a.G.NumSignals())
-	for sig := range a.G.Signals {
-		if !a.G.Input[sig] {
+	sigs := a.order[:0]
+	var placed uint64
+	for _, name := range hot {
+		if sig := a.G.SignalIndex(name); sig >= 0 && !a.G.Input[sig] && placed>>uint(sig)&1 == 0 {
+			placed |= 1 << uint(sig)
 			sigs = append(sigs, sig)
 		}
 	}
-	sort.Ints(sigs)
-	if len(hot) > 0 {
-		rank := make(map[int]int, len(hot))
-		for i, name := range hot {
-			if sig := a.G.SignalIndex(name); sig >= 0 {
-				if _, ok := rank[sig]; !ok {
-					rank[sig] = i
-				}
-			}
+	for sig := range a.G.Signals {
+		if !a.G.Input[sig] && placed>>uint(sig)&1 == 0 {
+			sigs = append(sigs, sig)
 		}
-		sort.SliceStable(sigs, func(i, j int) bool {
-			ri, iok := rank[sigs[i]]
-			rj, jok := rank[sigs[j]]
-			if iok != jok {
-				return iok
-			}
-			return iok && ri < rj
-		})
 	}
+	a.order = sigs
 	return sigs
 }
 
@@ -748,16 +767,14 @@ func (a *Analyzer) CountViolationsBudget(budget int, hot ...string) int {
 // footprint feeds the Theorem-5 side condition).
 func (a *Analyzer) countSignal(sig int) int {
 	regs := a.regs(sig)
-	if cap(a.failBuf) < len(regs.ER) {
-		a.failBuf = make([]bool, len(regs.ER))
-	}
-	failed := a.failBuf[:len(regs.ER)]
+	a.failBuf = sized(a.failBuf, len(regs.ER))
+	failed := a.failBuf
 	anyFailed := false
 	for i := range regs.ER {
 		failed[i] = !a.hasMC(regs, i)
 		anyFailed = anyFailed || failed[i]
 	}
-	if !anyFailed || a.groupSameFunction(sig, failed, nil) {
+	if !anyFailed || a.groupSameFunction(sig, failed, nil, true) {
 		return 0
 	}
 	if _, ok := a.WireOf(sig); ok {
@@ -795,7 +812,7 @@ func (a *Analyzer) checkSignal(sig int) []RegionResult {
 		anyFailed = !a.groupSameFunction(sig, failed, func(i int, m mask) {
 			results[i].Cube = m.toCube(n)
 			results[i].Violation = nil
-		})
+		}, false)
 	}
 	if anyFailed {
 		// Degenerate fallback: the whole signal as a single-literal
@@ -823,11 +840,12 @@ func (a *Analyzer) checkSignal(sig int) []RegionResult {
 // groups are all regions of a direction, then only its failed ones.
 // For every group it accepts it clears failed and, when cover is not
 // nil, calls cover with each member's index and the shared cube; it
-// reports whether no region is left failed.
+// reports whether no region is left failed. With reuse set (the
+// sequential count) it builds its targets in the analyzer's buffers.
 //
 // Most groups fail because their supercube is not even a correct cover
 // (Definition 16), so that test runs first, before any CFR is built.
-func (a *Analyzer) groupSameFunction(sig int, failed []bool, cover func(i int, m mask)) bool {
+func (a *Analyzer) groupSameFunction(sig int, failed []bool, cover func(i int, m mask), reuse bool) bool {
 	regs := a.regs(sig)
 	for _, dir := range []sg.Dir{sg.Plus, sg.Minus} {
 		same, nfailed := 0, 0
@@ -861,7 +879,7 @@ func (a *Analyzer) groupSameFunction(sig int, failed []bool, cover func(i int, m
 			if a.incorrect(sig, dir, sup, 0) >= 0 {
 				continue
 			}
-			t := a.groupTarget(regs, in)
+			t := a.groupTarget(regs, in, reuse)
 			found, ok := a.search(&t, sup)
 			if !ok {
 				continue
@@ -900,11 +918,20 @@ func (a *Analyzer) groupSameFunction(sig int, failed []bool, cover func(i int, m
 }
 
 // groupTarget is the target of the excitation regions of regs selected
-// by in, with the union and the CFRs carved from one allocation.
-func (a *Analyzer) groupTarget(regs *sg.Regions, in func(i int) bool) target {
+// by in, with the union and the CFRs carved from one set of words: the
+// analyzer's reusable buffers when reuse is set, else new ones.
+func (a *Analyzer) groupTarget(regs *sg.Regions, in func(i int) bool, reuse bool) target {
 	words := (a.G.NumStates() + 63) / 64
-	buf := make(sg.StateSet, (len(regs.ER)+1)*words)
-	t := target{regions: make([]cfrOf, 0, len(regs.ER)), union: buf[:words:words]}
+	var buf sg.StateSet
+	var cfrs []cfrOf
+	if reuse {
+		a.groupBuf = sized(a.groupBuf, (len(regs.ER)+1)*words)
+		clear(a.groupBuf[:words])
+		buf, cfrs = a.groupBuf, a.groupCFR[:0]
+	} else {
+		buf, cfrs = make(sg.StateSet, (len(regs.ER)+1)*words), make([]cfrOf, 0, len(regs.ER))
+	}
+	t := target{regions: cfrs, union: buf[:words:words]}
 	for i, er := range regs.ER {
 		if in(i) {
 			buf = buf[words:]
@@ -913,7 +940,19 @@ func (a *Analyzer) groupTarget(regs *sg.Regions, in func(i int) bool) target {
 			t.union.UnionWith(cfr)
 		}
 	}
+	if reuse {
+		a.groupCFR = t.regions
+	}
 	return t
+}
+
+// sized returns buf resliced to n elements, reallocated when too short.
+// The elements keep whatever the buffer held: callers overwrite them.
+func sized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // ExcitationFunctions assembles the up- and down-excitation covers

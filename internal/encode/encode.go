@@ -89,7 +89,7 @@ func allowedEdge(f, t Label) (ok, delayed bool) {
 // with the given name. It fails when the labelling violates the edge
 // rules or input properness, or when the new graph is inconsistent.
 func Expand(g *sg.Graph, labels []Label, name string) (*sg.Graph, error) {
-	ng, _, err := expand(g, labels, name)
+	ng, _, err := expandInto(g, labels, expansionOf(g, name), nil)
 	return ng, err
 }
 
@@ -101,22 +101,59 @@ func Expand(g *sg.Graph, labels []Label, name string) (*sg.Graph, error) {
 // its unique image, which is what makes remapped learnt clauses worth
 // offering to the next round's solver.
 func expand(g *sg.Graph, labels []Label, name string) (*sg.Graph, []int, error) {
-	return expandInto(g, labels, name, nil)
+	ng, idx, err := expandInto(g, labels, expansionOf(g, name), nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	images := make([]int, g.NumStates())
+	for s := range images {
+		lo, hi := idx[2*s], idx[2*s+1]
+		switch {
+		case lo >= 0 && hi < 0:
+			images[s] = int(lo)
+		case lo < 0 && hi >= 0:
+			images[s] = int(hi)
+		default:
+			images[s] = -1
+		}
+	}
+	return ng, images, nil
 }
 
-// expandScratch holds the reusable backing arrays of one expansion.
-// A graph built on a scratch aliases its memory and stays valid only
-// until the scratch's next use: callers must detach (deep-copy) any
-// expansion that outlives the scoring pass that built it.
-type expandScratch struct {
+// expansionOf returns the header of g's expansions by a signal called
+// name: their name, and g's signal and input lists with the new
+// non-input signal appended. Every candidate of a repair round shares
+// one header, so the round builds its lists once.
+func expansionOf(g *sg.Graph, name string) sg.Graph {
+	return sg.Graph{
+		Name:    g.Name + "+" + name,
+		Signals: append(append([]string(nil), g.Signals...), name),
+		Input:   append(append([]bool(nil), g.Input...), false),
+	}
+}
+
+// slotScratch is one chunk slot's reusable scoring memory: the
+// expansion's graph and backing arrays, the candidate's dense index,
+// and its lazy analyzer, whose region arena holds the candidate's
+// decompositions. Scoring a candidate rebuilds all of it in place, so
+// a slot stops allocating once it has grown to the round's largest
+// expansion. A graph built in a slot aliases its memory and stays
+// valid only until the slot's next use: callers must detach
+// (deep-copy) any expansion that outlives the scoring pass that built
+// it.
+type slotScratch struct {
+	g      sg.Graph
 	states []sg.State
 	succ   []sg.Edge
 	pred   []sg.Edge
 	idx    []int32
 	order  []int32
+
+	ix sg.Index
+	a  core.Analyzer
 }
 
-func (scr *expandScratch) ensure(n, nEdges int) {
+func (scr *slotScratch) ensure(n, nEdges int) {
 	if cap(scr.states) < 2*n {
 		scr.states = make([]sg.State, 0, 2*n)
 	}
@@ -156,14 +193,20 @@ func detachGraph(g *sg.Graph) *sg.Graph {
 	return &sg.Graph{Signals: g.Signals, Input: g.Input, States: states, Initial: g.Initial, Name: g.Name}
 }
 
-func expandInto(g *sg.Graph, labels []Label, name string, scr *expandScratch) (*sg.Graph, []int, error) {
+// expandInto builds the expansion of g by labels under the header hdr
+// (expansionOf), whose last signal is the inserted one. It returns the
+// graph and its state table: idx[2s+x] is the new index of old state s
+// in the x = 0 or 1 layer, -1 when that layer is unreachable. With a
+// scratch both live in the scratch's memory; without one they are
+// allocated.
+func expandInto(g *sg.Graph, labels []Label, hdr sg.Graph, scr *slotScratch) (*sg.Graph, []int32, error) {
 	if len(labels) != g.NumStates() {
 		return nil, nil, fmt.Errorf("encode: %d labels for %d states", len(labels), g.NumStates())
 	}
 	if g.NumSignals() >= 64 {
 		return nil, nil, fmt.Errorf("encode: signal limit reached")
 	}
-	if g.SignalIndex(name) >= 0 {
+	if name := hdr.Signals[g.NumSignals()]; g.SignalIndex(name) >= 0 {
 		return nil, nil, fmt.Errorf("encode: signal name %q already exists", name)
 	}
 	for s, st := range g.States {
@@ -181,11 +224,6 @@ func expandInto(g *sg.Graph, labels []Label, name string, scr *expandScratch) (*
 	}
 
 	xSig := g.NumSignals()
-	ng := &sg.Graph{
-		Name:    g.Name + "+" + name,
-		Signals: append(append([]string(nil), g.Signals...), name),
-		Input:   append(append([]bool(nil), g.Input...), false),
-	}
 
 	// States are (original state, x value) pairs, created on demand
 	// during forward reachability. The pair is a flat index 2s+x into a
@@ -200,16 +238,21 @@ func expandInto(g *sg.Graph, labels []Label, name string, scr *expandScratch) (*
 		nEdges += len(g.States[s].Succ)
 	}
 	var (
+		ng               *sg.Graph
 		succBuf, predBuf []sg.Edge
 		idx, order       []int32
 	)
 	if scr != nil {
 		scr.ensure(n, nEdges)
+		scr.g = hdr
+		ng = &scr.g
 		ng.States = scr.states
 		succBuf, predBuf = scr.succ, scr.pred
 		idx = scr.idx[:2*n]
 		order = scr.order
 	} else {
+		ng = new(sg.Graph)
+		*ng = hdr
 		ng.States = make([]sg.State, 0, 2*n)
 		succBuf = make([]sg.Edge, 2*(nEdges+n))
 		predBuf = make([]sg.Edge, 2*(nEdges+n))
@@ -287,20 +330,7 @@ func expandInto(g *sg.Graph, labels []Label, name string, scr *expandScratch) (*
 	if err := ng.CheckConsistency(); err != nil {
 		return nil, nil, err
 	}
-	// Image map: old state → its unique new index, -1 when split.
-	images := make([]int, n)
-	for s := 0; s < n; s++ {
-		lo, hi := idx[2*s], idx[2*s+1]
-		switch {
-		case lo >= 0 && hi < 0:
-			images[s] = int(lo)
-		case lo < 0 && hi >= 0:
-			images[s] = int(hi)
-		default:
-			images[s] = -1
-		}
-	}
-	return ng, images, nil
+	return ng, idx, nil
 }
 
 // Strategy selects how the MC violation seeds the SAT instance.
@@ -725,7 +755,7 @@ func RepairTable(t *sg.RegionTable, opts Options) (*Result, error) {
 		}
 		carried = nil
 		if !opts.DisableLearntCarry {
-			carried = search.carryOut(bestLabels, name)
+			carried = search.carryOut(bestLabels)
 		}
 		res.G = best
 		res.Added = append(res.Added, name)
@@ -752,11 +782,11 @@ const (
 // knowledge that does not survive the remap are dropped here; whatever
 // the next formula does not entail is dropped by its own import
 // certification.
-func (rs *roundSearch) carryOut(labels []Label, name string) [][]sat.Lit {
+func (rs *roundSearch) carryOut(labels []Label) [][]sat.Lit {
 	if labels == nil {
 		return nil
 	}
-	_, images, err := expand(rs.g, labels, name)
+	_, images, err := expand(rs.g, labels, rs.name)
 	if err != nil {
 		return nil
 	}
@@ -893,6 +923,7 @@ type roundSearch struct {
 	blockVars []int
 	seen      map[string]struct{} // canonical label-vector keys scored this round
 	hot       []string            // scan-first signals for budgeted scoring
+	next      sg.Graph            // the header every expansion of the round shares
 
 	models     int // SAT models enumerated
 	candidates int // unique label vectors expanded and scored
@@ -905,11 +936,11 @@ type roundSearch struct {
 	noStall bool
 	uncap   bool
 
-	// scratch holds one set of reusable expansion buffers per chunk
-	// slot: slot i is touched only by the worker scoring chunk item i,
-	// and a chunk never exceeds scoreChunkMax candidates. Graphs kept
-	// beyond a chunk's reduction are detached from their slot first.
-	scratch [scoreChunkMax]expandScratch
+	// scratch holds one slot of reusable scoring memory per chunk item:
+	// slot i is touched only by the worker scoring chunk item i, and a
+	// chunk never exceeds scoreChunkMax candidates. Graphs kept beyond a
+	// chunk's reduction are detached from their slot first.
+	scratch [scoreChunkMax]slotScratch
 }
 
 func newRoundSearch(g *sg.Graph, name string, opts Options, hot []string) *roundSearch {
@@ -923,6 +954,7 @@ func newRoundSearch(g *sg.Graph, name string, opts Options, hot []string) *round
 		g: g, name: name, opts: opts,
 		solver: solver, vars: vars, blockVars: blockVars,
 		seen: make(map[string]struct{}), hot: hot,
+		next: expansionOf(g, name),
 	}
 }
 
@@ -960,21 +992,25 @@ type scored struct {
 // can never be selected, so their exact count is irrelevant). It runs
 // on pool workers: everything it touches is either task-local or a
 // read-only view of the round's graph. The scratch is owned by this
-// call for its duration (one chunk slot, one worker); the returned
-// graph aliases it and must be detached if it outlives the chunk.
-func (rs *roundSearch) score(labels []Label, budget int, scr *expandScratch) scored {
-	g2, _, err := expandInto(rs.g, labels, rs.name, scr)
+// call for its duration (one chunk slot, one worker): the expansion,
+// its index and its lazy analyzer are rebuilt there in place, and the
+// returned graph aliases it and must be detached if it outlives the
+// chunk.
+func (rs *roundSearch) score(labels []Label, budget int, scr *slotScratch) scored {
+	g2, _, err := expandInto(rs.g, labels, rs.next, scr)
 	if err != nil {
 		return scored{}
 	}
-	ix := sg.NewIndex(g2)
+	ix := &scr.ix
+	ix.Rebuild(g2)
 	if !ix.OutputSemiModular() {
 		return scored{}
 	}
 	if rs.opts.Target == TargetCSC {
 		return scored{g: g2, count: len(ix.CSCViolations())}
 	}
-	n := core.NewAnalyzerLazy(ix).CountViolationsBudget(budget, rs.hot...)
+	scr.a.Reset(ix)
+	n := scr.a.CountViolationsBudget(budget, rs.hot...)
 	return scored{g: g2, count: n, pruned: n >= budget}
 }
 

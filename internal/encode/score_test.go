@@ -1,7 +1,9 @@
 package encode
 
 import (
+	"math/rand"
 	"os"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -11,17 +13,16 @@ import (
 	"repro/internal/stg"
 )
 
-// roundCandidates runs every conflict and strategy pair of duplicator's
-// first repair round, as Repair's sweep does, and returns the graphs of
-// the labellings the round scored (its seen-set, one member per mirror
-// orbit) that reach the count: valid expansions that stay output
-// semi-modular. It also returns the scan-first signals Repair would
-// pass. The spec comes from the on-disk corpus, which the root
-// package's tests keep equal to the embedded Table-1 source (this
-// package cannot import benchdata, which imports it through synth).
-func roundCandidates(t *testing.T) ([]*sg.Graph, []string) {
+// firstRound runs every conflict and strategy pair of a Table-1 spec's
+// first repair round, as Repair's sweep does, and returns the round's
+// search and the labellings it scored (its seen-set, one member per
+// mirror orbit) in key order. The spec comes from the on-disk corpus,
+// which the root package's tests keep equal to the embedded Table-1
+// source (this package cannot import benchdata, which imports it
+// through synth).
+func firstRound(t *testing.T, spec string) (*roundSearch, [][]Label) {
 	t.Helper()
-	src, err := os.ReadFile("../../testdata/duplicator.g")
+	src, err := os.ReadFile("../../testdata/" + spec + ".g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,21 +55,107 @@ func roundCandidates(t *testing.T) ([]*sg.Graph, []string) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var out []*sg.Graph
-	for _, k := range keys {
-		labels := make([]Label, len(k))
-		for i := range k {
-			labels[i] = Label(k[i])
+	out := make([][]Label, len(keys))
+	for i, k := range keys {
+		out[i] = make([]Label, len(k))
+		for j := range k {
+			out[i][j] = Label(k[j])
 		}
-		g2, err := Expand(g, labels, name)
+	}
+	return rs, out
+}
+
+// roundCandidates returns the graphs of the labellings duplicator's
+// first repair round scored that reach the count (valid expansions that
+// stay output semi-modular), and the scan-first signals Repair would
+// pass.
+func roundCandidates(t *testing.T) ([]*sg.Graph, []string) {
+	t.Helper()
+	rs, labellings := firstRound(t, "duplicator")
+	var out []*sg.Graph
+	for _, labels := range labellings {
+		g2, err := Expand(rs.g, labels, rs.name)
 		if err == nil && sg.NewIndex(g2).OutputSemiModular() {
 			out = append(out, g2)
 		}
 	}
 	if len(out) < 100 {
-		t.Fatalf("only %d of %d scored labellings reach the count", len(out), len(keys))
+		t.Fatalf("only %d of %d scored labellings reach the count", len(out), len(labellings))
 	}
-	return out, hot
+	return out, rs.hot
+}
+
+// One slot scores candidate after candidate in place: its expansion,
+// index, analyzer and region arena are rebuilt for each. The scored
+// first-round candidates of duplicator and nak-pa, shuffled together so
+// that graphs of different sizes follow each other through one slot,
+// must get the verdict a fresh expansion, index and lazy analyzer give:
+// the same graph, count and pruned flag at every budget.
+func TestScoreSlotReuseMatchesFresh(t *testing.T) {
+	type cand struct {
+		rs     *roundSearch
+		labels []Label
+	}
+	var all []cand
+	for _, spec := range []string{"duplicator", "nak-pa"} {
+		rs, labellings := firstRound(t, spec)
+		for _, labels := range labellings {
+			all = append(all, cand{rs, labels})
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	var slot slotScratch
+	valid, shrinks, prev := 0, 0, 0
+	for _, c := range all {
+		want, err := Expand(c.rs.g, c.labels, c.rs.name)
+		if err == nil && !sg.NewIndex(want).OutputSemiModular() {
+			want = nil
+		}
+		if got := c.rs.score(c.labels, 0, &slot).g; (got == nil) != (want == nil) || want != nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: the slot's expansion differs from a fresh one", c.rs.g.Name)
+		}
+		if want == nil {
+			continue
+		}
+		valid++
+		if want.NumStates() < prev {
+			shrinks++
+		}
+		prev = want.NumStates()
+		count := core.NewAnalyzerLazy(sg.NewIndex(want)).CountViolationsBudget(0, c.rs.hot...)
+		for _, budget := range []int{0, 1, 2, count + 1} {
+			n := core.NewAnalyzerLazy(sg.NewIndex(want)).CountViolationsBudget(budget, c.rs.hot...)
+			sc := c.rs.score(c.labels, budget, &slot)
+			if sc.count != n || sc.pruned != (n >= budget) {
+				t.Fatalf("%s at budget %d: slot scored %d (pruned %v), fresh %d on\n%s",
+					c.rs.g.Name, budget, sc.count, sc.pruned, n, want.Dump())
+			}
+		}
+	}
+	if valid < 200 || shrinks == 0 {
+		t.Fatalf("%d of %d candidates reach the count, %d follow a larger one; want more of both",
+			valid, len(all), shrinks)
+	}
+	t.Logf("%d candidates, %d reach the count, %d follow a larger one", len(all), valid, shrinks)
+}
+
+// Scoring reuses its slot's memory, so a scored candidate allocates
+// next to nothing: only the expansion's consistency check (one buffer
+// for its visited set and stack) is left. Averaged over every labelling
+// duplicator's first round scores.
+func TestScoreAllocations(t *testing.T) {
+	rs, labellings := firstRound(t, "duplicator")
+	for _, budget := range []int{0, 2} {
+		n := testing.AllocsPerRun(3, func() {
+			for _, labels := range labellings {
+				rs.score(labels, budget, &rs.scratch[0])
+			}
+		}) / float64(len(labellings))
+		if n > 5 {
+			t.Errorf("budget %d: %.1f allocations per scored labelling over %d, want ≤ 5", budget, n, len(labellings))
+		}
+		t.Logf("budget %d: %.2f allocations per scored labelling over %d", budget, n, len(labellings))
+	}
 }
 
 // The budgeted count agrees with the full MC check on every candidate

@@ -15,6 +15,7 @@ package par
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -39,14 +40,24 @@ type TaskHook func(i, worker int, start time.Time, d time.Duration)
 // Determinism is the caller's contract: fn must write its result into a
 // slot addressed by i, never append to shared state.
 //
-// A panic in any task is re-raised on the calling goroutine after the
-// pool drains, matching the sequential path's behaviour.
+// A panic in any task is re-raised on the calling goroutine once every
+// claimed task has finished, matching the sequential path's behaviour.
 func ForEach(n, workers int, fn func(i int)) {
 	ForEachHook(n, workers, fn, nil)
 }
 
 // ForEachHook is ForEach with an optional per-task observation hook
 // (nil = unobserved; the pool then takes no clock readings).
+//
+// The caller works: it and workers-1 helper goroutines claim indices
+// from one atomic cursor, the caller as worker 0, so no task waits in a
+// feed channel for a goroutine to wake. The wait counts tasks, not
+// goroutines: ForEachHook returns once the last task has finished, and
+// a helper that first runs after every index is claimed makes one
+// failed claim and exits. A task that panics stops further claims: the
+// first panic is kept, the unclaimed indices are released, and the
+// panic is re-raised on the caller after the tasks already claimed
+// have finished.
 func ForEachHook(n, workers int, fn func(i int), hook TaskHook) {
 	workers = Workers(workers)
 	if workers > n {
@@ -67,35 +78,35 @@ func ForEachHook(n, workers int, fn func(i int), hook TaskHook) {
 		}
 		return
 	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	var panicOnce sync.Once
-	var panicked any
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(worker int) {
-			defer wg.Done()
-			// A panicking task must not wedge the feeder: capture the
-			// first panic, keep draining, and re-raise on the caller.
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicked = r })
-					for range next {
-					}
+	var (
+		cursor   atomic.Int64   // the next unclaimed index
+		pending  sync.WaitGroup // tasks not yet finished or released
+		failOnce sync.Once
+		failure  any
+	)
+	pending.Add(n)
+	work := func(worker int) {
+		defer func() {
+			if r := recover(); r != nil {
+				failOnce.Do(func() { failure = r })
+				pending.Done() // the task that panicked
+				if claimed := int(cursor.Swap(int64(n))); claimed < n {
+					pending.Add(claimed - n)
 				}
-			}()
-			for i := range next {
-				run(i, worker)
 			}
-		}(w)
+		}()
+		for i := int(cursor.Add(1) - 1); i < n; i = int(cursor.Add(1) - 1) {
+			run(i, worker)
+			pending.Done()
+		}
 	}
-	for i := 0; i < n; i++ {
-		next <- i
+	for w := 1; w < workers; w++ {
+		go work(w)
 	}
-	close(next)
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
+	work(0)
+	pending.Wait()
+	if failure != nil {
+		panic(failure)
 	}
 }
 

@@ -17,15 +17,31 @@ type Index struct {
 
 // NewIndex builds the dense index of g.
 func NewIndex(g *Graph) *Index {
+	ix := new(Index)
+	ix.Rebuild(g)
+	return ix
+}
+
+// Rebuild makes ix the index of g in place, reusing its tables when
+// they are large enough, so a caller indexing graph after graph (repair
+// scoring, one candidate at a time) stops allocating once the tables
+// fit its largest graph. Whatever read the old index must be done.
+func (ix *Index) Rebuild(g *Graph) {
 	ns, nsig := g.NumStates(), g.NumSignals()
-	bits := make([]uint64, 2*ns)
-	ix := &Index{
-		G:       g,
-		nsig:    nsig,
-		excited: bits[:ns:ns],
-		excOut:  bits[ns:],
-		succ:    make([]int32, ns*nsig),
+	// excited and excOut are the two halves of one backing; both are
+	// rewritten for every state, the successor table only per edge.
+	bits := ix.excited[:cap(ix.excited)]
+	if len(bits) < 2*ns {
+		bits = make([]uint64, 2*ns)
 	}
+	if cap(ix.succ) < ns*nsig {
+		ix.succ = make([]int32, ns*nsig)
+	} else {
+		ix.succ = ix.succ[:ns*nsig]
+		clear(ix.succ)
+	}
+	ix.G, ix.nsig = g, nsig
+	ix.excited, ix.excOut = bits[:ns], bits[ns:2*ns]
 	inputMask := uint64(0)
 	for sig, in := range g.Input {
 		if in {
@@ -37,14 +53,13 @@ func NewIndex(g *Graph) *Index {
 		row := ix.succ[s*nsig : (s+1)*nsig]
 		for _, e := range g.States[s].Succ {
 			m |= 1 << uint(e.Signal)
-			// Stored shifted by one so the zeroed allocation already
+			// Stored shifted by one so the zeroed table already
 			// means "no edge" — the table needs no -1 fill pass.
 			row[e.Signal] = int32(e.To) + 1
 		}
 		ix.excited[s] = m
 		ix.excOut[s] = m &^ inputMask
 	}
-	return ix
 }
 
 // Excited reports whether signal sig has an enabled transition in state s.

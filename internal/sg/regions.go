@@ -71,7 +71,53 @@ func (g *Graph) RegionsOf(sig int) *Regions {
 var classDir = [4]Dir{Plus, Minus, Plus, Minus}
 
 // RegionsOf computes the region decomposition of signal sig using the
-// index's O(1) excitation and successor lookups.
+// index's O(1) excitation and successor lookups. It is RegionsIn
+// without an arena: every call allocates its own memory.
+func (ix *Index) RegionsOf(sig int) *Regions { return ix.RegionsIn(sig, nil) }
+
+// RegionArena is reusable memory for region decompositions. RegionsIn
+// carves a decomposition's regions, state lists and sets from it
+// instead of allocating them, so a caller decomposing graph after graph
+// (repair scoring, one candidate at a time) stops allocating once the
+// arena has grown to its largest graph. Everything carved from an arena
+// stays valid until its next Reset, which recycles the memory: the
+// caller must drop every *Regions and *Region it was handed before.
+// The zero value is an empty arena.
+type RegionArena struct {
+	ints  []int
+	meta  []int
+	words []uint64
+	regs  []Region
+	ptrs  []*Region
+	res   []Regions
+}
+
+// Reset recycles the arena's memory for the next decompositions.
+func (ar *RegionArena) Reset() {
+	ar.ints, ar.meta, ar.words = ar.ints[:0], ar.meta[:0], ar.words[:0]
+	ar.regs, ar.ptrs, ar.res = ar.regs[:0], ar.ptrs[:0], ar.res[:0]
+}
+
+// carve returns n zeroed elements from the free tail of *buf. A tail
+// too short is replaced by a new buffer of at least twice the old
+// capacity; slices carved earlier keep the memory they were carved
+// from. Carved once from an empty buffer, it allocates exactly n.
+func carve[T any](buf *[]T, n int) []T {
+	b := *buf
+	if cap(b)-len(b) < n {
+		b = make([]T, 0, max(2*cap(b), n))
+	} else {
+		clear(b[len(b) : len(b)+n])
+	}
+	out := b[len(b) : len(b)+n : len(b)+n]
+	*buf = b[:len(b)+n]
+	return out
+}
+
+// RegionsIn is RegionsOf with its memory carved from ar; the result is
+// valid until ar's next Reset. A nil ar stands for a fresh arena of the
+// call's own, from which each of the six pieces below is carved once,
+// to its exact size.
 //
 // Every state gets a component label in one array: first the inverted
 // class (^c, negative), then, by a DFS over the class's own edges, the
@@ -80,17 +126,21 @@ var classDir = [4]Dir{Plus, Minus, Plus, Minus}
 // count known, are the region structs and their bitsets allocated, one
 // ⌈n/64⌉-word set per region; and one backward pass over the states
 // buckets each state into its region (a counting sort by label), so
-// every region's States and Min come out ascending without a sort. Region decomposition runs once per
-// scanned signal of every scored candidate graph, so a call makes a
-// constant six allocations whatever the graph's size.
-func (ix *Index) RegionsOf(sig int) *Regions {
+// every region's States and Min come out ascending without a sort.
+// Without an arena a call makes a constant six allocations whatever the
+// graph's size, each sized to what it holds; with one, once the arena
+// has grown, none.
+func (ix *Index) RegionsIn(sig int, ar *RegionArena) *Regions {
+	if ar == nil {
+		ar = new(RegionArena)
+	}
 	g := ix.G
 	n := g.NumStates()
 	bit := uint64(1) << uint(sig)
 	// One int backing: the labels, then the DFS stack (which, once every
 	// state is labelled, becomes the bucketed region states), then the
 	// minimal states, which never outnumber the states.
-	ints := make([]int, 3*n)
+	ints := carve(&ar.ints, 3*n)
 	label := ints[:n:n]
 	for s := range label {
 		c := 3 // stable at 0
@@ -139,8 +189,8 @@ func (ix *Index) RegionsOf(sig int) *Regions {
 	// Counting sort by label, in ascending state order: end[k] first
 	// counts region k, then becomes its end offset in states.
 	w := (n + 63) / 64
-	words := make([]uint64, tot*w)
-	meta := make([]int, tot+ne)
+	words := carve(&ar.words, tot*w)
+	meta := carve(&ar.meta, tot+ne)
 	end, qrAfter := meta[:tot:tot], meta[tot:]
 	for _, k := range label {
 		end[k]++
@@ -157,9 +207,10 @@ func (ix *Index) RegionsOf(sig int) *Regions {
 	}
 	// The backward pass left end[k] at region k's first state.
 
-	res := &Regions{Signal: sig}
-	regs := make([]Region, tot)
-	ptrs := make([]*Region, tot)
+	res := &carve(&ar.res, 1)[0]
+	res.Signal = sig
+	regs := carve(&ar.regs, tot)
+	ptrs := carve(&ar.ptrs, tot)
 	minBuf := ints[2*n : 2*n : 3*n]
 	for c := range 4 {
 		for k := start[c]; k < start[c+1]; k++ {

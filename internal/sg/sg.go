@@ -161,21 +161,25 @@ func (g *Graph) CheckConsistency() error {
 			}
 		}
 	}
-	seen := make([]bool, len(g.States))
-	stack := []int{g.Initial}
-	seen[g.Initial] = true
+	// One allocation: the visited set, then a stack with room for every
+	// state, since a state is pushed once, when first seen.
+	n := len(g.States)
+	w := (n + 63) / 64
+	buf := make([]uint64, w+n)
+	seen, stack := StateSet(buf[:w:w]), append(buf[w:w], uint64(g.Initial))
+	seen.Add(g.Initial)
 	for len(stack) > 0 {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, e := range g.States[s].Succ {
-			if !seen[e.To] {
-				seen[e.To] = true
-				stack = append(stack, e.To)
+			if !seen.Has(e.To) {
+				seen.Add(e.To)
+				stack = append(stack, uint64(e.To))
 			}
 		}
 	}
-	for i, ok := range seen {
-		if !ok {
+	for i := range n {
+		if !seen.Has(i) {
 			return fmt.Errorf("sg: state %d unreachable from initial state", i)
 		}
 	}

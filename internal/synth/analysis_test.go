@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/benchdata"
 	"repro/internal/encode"
+	"repro/internal/sg"
 	"repro/internal/stg"
 	"repro/internal/synth"
 )
@@ -71,5 +72,51 @@ func TestRepairReusesAnalysisRegions(t *testing.T) {
 				t.Errorf("%s: covering replaced signal %s's regions", e.Name, g.Signals[sig])
 			}
 		}
+	}
+}
+
+// Analyze checks consistency once, inside the property report, and an
+// inconsistent graph still gets exactly CheckConsistency's error (serve
+// caches the text) and no analysis: an edge that flips the wrong bit,
+// and a state the initial state cannot reach.
+func TestAnalyzeRejectsInconsistentGraph(t *testing.T) {
+	// a+ → b+ → a- → b- around four states, then one fault each.
+	ring := func() *sg.Graph {
+		g := &sg.Graph{Name: "ring", Signals: []string{"a", "b"}, Input: []bool{false, false}}
+		for _, code := range []uint64{0b00, 0b01, 0b11, 0b10} {
+			g.AddState(code)
+		}
+		for i, e := range []sg.Edge{{Signal: 0, Dir: sg.Plus}, {Signal: 1, Dir: sg.Plus}, {Signal: 0, Dir: sg.Minus}, {Signal: 1, Dir: sg.Minus}} {
+			if err := g.AddEdge(i, (i+1)%4, e.Signal, e.Dir); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	wrongBit := ring()
+	// s0 → s2 labelled a+ flips both bits.
+	wrongBit.States[0].Succ = append(wrongBit.States[0].Succ, sg.Edge{Signal: 0, Dir: sg.Plus, To: 2})
+	wrongBit.States[2].Pred = append(wrongBit.States[2].Pred, sg.Edge{Signal: 0, Dir: sg.Plus, To: 0})
+	unreachable := ring()
+	unreachable.AddState(0b01)
+	for _, c := range []struct {
+		name string
+		g    *sg.Graph
+	}{{"wrong bit", wrongBit}, {"unreachable", unreachable}} {
+		name, g := c.name, c.g
+		want := g.CheckConsistency()
+		if want == nil {
+			t.Fatalf("%s: CheckConsistency accepts the graph", name)
+		}
+		if g.Check().Consistent {
+			t.Errorf("%s: the property report calls the graph consistent", name)
+		}
+		an, err := synth.Analyze(g)
+		if an != nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: Analyze returned (%v, %v), want (nil, %q)", name, an, err, want)
+		}
+	}
+	if _, err := synth.Analyze(ring()); err != nil {
+		t.Errorf("the consistent ring: %v", err)
 	}
 }

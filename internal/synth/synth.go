@@ -190,17 +190,19 @@ type Analysis struct {
 	Props sg.PropertyReport
 }
 
-// Analyze is the analysis stage: the state graph's consistency check,
-// its region table and behavioural property report, and the output
+// Analyze is the analysis stage: the state graph's region table and
+// behavioural property report, the consistency check, and the output
 // semi-modularity precondition without which no speed-independent
-// implementation exists. On that last error it still returns the
-// analysis, whose report says why.
+// implementation exists. An inconsistent graph gets CheckConsistency's
+// error and no analysis; the report has already run the check, so it
+// runs again only to say why. On the output semi-modularity error
+// Analyze still returns the analysis, whose report says why.
 func Analyze(g *sg.Graph) (*Analysis, error) {
-	if err := g.CheckConsistency(); err != nil {
-		return nil, err
-	}
 	t := sg.NewRegionTable(g)
 	an := &Analysis{Table: t, Props: t.Check()}
+	if !an.Props.Consistent {
+		return nil, g.CheckConsistency()
+	}
 	if !an.Props.OutputSemiModular {
 		return an, fmt.Errorf("synth: %s is not output semi-modular; no speed-independent implementation exists", g.Name)
 	}
