@@ -93,15 +93,16 @@ func Expand(g *sg.Graph, labels []Label, name string) (*sg.Graph, error) {
 	return ng, err
 }
 
-// expand is Expand returning, additionally, the image map used by
-// cross-round learnt-clause carrying: images[s] is the index of old
-// state s in G′ when exactly one of its layers is reachable, and -1
-// when the state was split into both x-layers (or is unreachable).
-// Label constraints on an unsplit state have a natural counterpart on
-// its unique image, which is what makes remapped learnt clauses worth
-// offering to the next round's solver.
-func expand(g *sg.Graph, labels []Label, name string) (*sg.Graph, []int, error) {
-	ng, idx, err := expandInto(g, labels, expansionOf(g, name), nil)
+// expand is Expand under the header hdr (expansionOf) returning,
+// additionally, the image map used by cross-round learnt-clause
+// carrying: images[s] is the index of old state s in G′ when exactly
+// one of its layers is reachable, and -1 when the state was split into
+// both x-layers (or is unreachable). Label constraints on an unsplit
+// state have a natural counterpart on its unique image, which is what
+// makes remapped learnt clauses worth offering to the next round's
+// solver. A repair round expands its winner with it once.
+func expand(g *sg.Graph, labels []Label, hdr sg.Graph) (*sg.Graph, []int, error) {
+	ng, idx, err := expandInto(g, labels, hdr, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -136,11 +137,11 @@ func expansionOf(g *sg.Graph, name string) sg.Graph {
 // expansion's graph and backing arrays, the candidate's dense index,
 // and its lazy analyzer, whose region arena holds the candidate's
 // decompositions. Scoring a candidate rebuilds all of it in place, so
-// a slot stops allocating once it has grown to the round's largest
-// expansion. A graph built in a slot aliases its memory and stays
-// valid only until the slot's next use: callers must detach
-// (deep-copy) any expansion that outlives the scoring pass that built
-// it.
+// a slot stops allocating once it has grown to the largest expansion
+// it has scored; one repair run's rounds share the same slots. A graph
+// built in a slot aliases its memory and stays valid only until the
+// slot's next use, so the search keeps a winner's labelling, not its
+// graph, and the round expands the winner afresh.
 type slotScratch struct {
 	g      sg.Graph
 	states []sg.State
@@ -169,28 +170,6 @@ func (scr *slotScratch) ensure(n, nEdges int) {
 		scr.order = make([]int32, 0, 2*n)
 	}
 	scr.order = scr.order[:0]
-}
-
-// detachGraph deep-copies a scratch-backed expansion so it survives the
-// scratch's reuse by later chunks.
-func detachGraph(g *sg.Graph) *sg.Graph {
-	total := 0
-	for i := range g.States {
-		total += len(g.States[i].Succ) + len(g.States[i].Pred)
-	}
-	buf := make([]sg.Edge, 0, total)
-	states := make([]sg.State, len(g.States))
-	for i := range g.States {
-		st := &g.States[i]
-		o := len(buf)
-		buf = append(buf, st.Succ...)
-		s2 := buf[o:len(buf):len(buf)]
-		o = len(buf)
-		buf = append(buf, st.Pred...)
-		p2 := buf[o:len(buf):len(buf)]
-		states[i] = sg.State{Code: st.Code, Succ: s2, Pred: p2}
-	}
-	return &sg.Graph{Signals: g.Signals, Input: g.Input, States: states, Initial: g.Initial, Name: g.Name}
 }
 
 // expandInto builds the expansion of g by labels under the header hdr
@@ -453,8 +432,9 @@ type Result struct {
 // 0=(0,0), up=(0,1), 1=(1,1), down=(1,0).
 type labelVars struct{ v1, v0 int }
 
-func labelOf(m []bool, lv labelVars) Label {
-	v1, v0 := m[lv.v1-1], m[lv.v0-1]
+// labelOf reads one state's label from the solver's last model.
+func labelOf(s *sat.Solver, lv labelVars) Label {
+	v1, v0 := s.Value(lv.v1), s.Value(lv.v0)
 	switch {
 	case !v1 && !v0:
 		return L0
@@ -467,20 +447,6 @@ func labelOf(m []bool, lv labelVars) Label {
 	}
 }
 
-// lits returns the literal pair asserting that state s has label l.
-func (lv labelVars) lits(l Label) (sat.Lit, sat.Lit) {
-	switch l {
-	case L0:
-		return sat.Lit(-lv.v1), sat.Lit(-lv.v0)
-	case LR:
-		return sat.Lit(-lv.v1), sat.Lit(lv.v0)
-	case L1:
-		return sat.Lit(lv.v1), sat.Lit(lv.v0)
-	default:
-		return sat.Lit(lv.v1), sat.Lit(-lv.v0)
-	}
-}
-
 // buildCNF encodes the graph-only labelling constraints: the edge
 // rules, input properness and non-triviality. Strategy seeds are NOT
 // part of the formula — they are passed to Solve as assumptions
@@ -490,29 +456,68 @@ func (lv labelVars) lits(l Label) (sat.Lit, sat.Lit) {
 // variables are allocated first — state i holds (2i+1, 2i+2) — which
 // is the contract cross-round clause remapping relies on.
 func buildCNF(s *sat.Solver, g *sg.Graph) []labelVars {
-	vars := make([]labelVars, g.NumStates())
-	for i := range vars {
-		vars[i] = labelVars{v1: s.NewVar(), v0: s.NewVar()}
-	}
-	// Edge constraints: forbid every disallowed (from,to) label pair;
-	// forbid delayed pairs on input edges.
+	vars := newLabelVars(s, g.NumStates())
 	for st := range g.States {
 		for _, e := range g.States[st].Succ {
-			for _, lf := range []Label{L0, LR, L1, LF} {
-				for _, lt := range []Label{L0, LR, L1, LF} {
-					ok, delayed := allowedEdge(lf, lt)
-					if ok && (!delayed || !g.Input[e.Signal]) {
-						continue
-					}
-					a1, a0 := vars[st].lits(lf)
-					b1, b0 := vars[e.To].lits(lt)
-					s.AddClause(a1.Neg(), a0.Neg(), b1.Neg(), b0.Neg())
-				}
+			cl, n := edgeClauses(vars[st], vars[e.To], g.Input[e.Signal])
+			for i := range cl[:n] {
+				s.AddClause(cl[i][:]...)
 			}
 		}
 	}
-	// Non-triviality: at least one "up" state and one "down" state.
-	// up(s) ↔ ¬v1 ∧ v0; introduce an aux var per state for each phase.
+	addNonTriviality(s, vars)
+	return vars
+}
+
+// newLabelVars allocates the label variables of n states: state i
+// holds (2i+1, 2i+2) in a fresh solver.
+func newLabelVars(s *sat.Solver, n int) []labelVars {
+	vars := make([]labelVars, n)
+	for i := range vars {
+		vars[i] = labelVars{v1: s.NewVar(), v0: s.NewVar()}
+	}
+	return vars
+}
+
+// edgeClauses returns the clauses of one edge from a state labelled by
+// f to a state labelled by t: the first n of cl, four on a non-input
+// edge and six on an input edge.
+//
+// The (v1, v0) labels walk a 2-bit Gray code, 0=00 → up=01 → 1=11 →
+// down=10, and an edge may keep its source's label or step to the next
+// one (allowedEdge). From a stable source (v1 = v0) the step flips v0,
+// so the target keeps the source's v1; from an excited source
+// (v1 ≠ v0) it flips v1, so the target keeps the source's v0. The
+// steps up→1 and down→0 are the delayed ones, which input properness
+// forbids on an input edge, so there an excited source also keeps v1.
+// Each clause is the resolvent of two forbidden-pair clauses that
+// differ only in the target's other variable, so the clauses admit
+// exactly the allowed label pairs, and each fires as soon as the
+// source's label is known.
+func edgeClauses(f, t labelVars, input bool) (cl [6][3]sat.Lit, n int) {
+	f1, f0 := sat.Lit(f.v1), sat.Lit(f.v0)
+	t1, t0 := sat.Lit(t.v1), sat.Lit(t.v0)
+	cl = [6][3]sat.Lit{
+		{f1, f0, -t1},  // from 0: v1 stays 0
+		{-f1, -f0, t1}, // from 1: v1 stays 1
+		{f1, -f0, t0},  // from up: v0 stays 1
+		{-f1, f0, -t0}, // from down: v0 stays 0
+		{f1, -f0, -t1}, // from up on an input edge: v1 stays 0
+		{-f1, f0, t1},  // from down on an input edge: v1 stays 1
+	}
+	if input {
+		return cl, 6
+	}
+	return cl, 4
+}
+
+// addNonTriviality requires at least one "up" state and one "down"
+// state, through an auxiliary variable per state for each phase:
+// up(s) ↔ ¬v1 ∧ v0 and down(s) ↔ v1 ∧ ¬v0. The auxiliaries are
+// allocated after every label variable and are implied as soon as
+// their state's label is known, so canonical branching never decides
+// one.
+func addNonTriviality(s *sat.Solver, vars []labelVars) {
 	var ups, downs []sat.Lit
 	for i := range vars {
 		u := s.NewVar()
@@ -529,7 +534,6 @@ func buildCNF(s *sat.Solver, g *sg.Graph) []labelVars {
 	}
 	s.AddClause(ups...)
 	s.AddClause(downs...)
-	return vars
 }
 
 // conflict is one separation problem for the inserted signal: the states
@@ -645,6 +649,9 @@ func RepairTable(t *sg.RegionTable, opts Options) (*Result, error) {
 
 	res := &Result{G: g}
 	var carried [][]sat.Lit // remapped learnt clauses from the previous round
+	// The chunk slots, allocated by the first round that scores a
+	// candidate and reused by every later round.
+	var slots *[scoreChunkMax]slotScratch
 	for round := 0; ; round++ {
 		rsp := obs.Start("repair.round", obs.A("round", round), obs.A("spec", g.Name))
 		var a *core.Analyzer
@@ -690,6 +697,7 @@ func RepairTable(t *sg.RegionTable, opts Options) (*Result, error) {
 		}
 		hot = append(hot, name)
 		search := newRoundSearch(res.G, name, opts, hot)
+		search.scratch = slots
 		if len(carried) > 0 {
 			// Rehydrate: the previous round's learnt clauses, remapped
 			// onto this round's variables, re-certified against this
@@ -700,16 +708,16 @@ func RepairTable(t *sg.RegionTable, opts Options) (*Result, error) {
 			res.Carried += len(carried)
 			res.CarriedKept += kept
 		}
-		best, bestScore, bestStrat := (*sg.Graph)(nil), cur, Free
-		var bestLabels []Label
+		var best []Label
+		bestScore, bestStates, bestStrat := cur, 0, Free
 		sweep := func() {
 			for _, c := range confl {
 				for _, strat := range opts.Strategies {
-					g2, labels, count := search.tryInsert(c, confl, strat, cur)
-					better := g2 != nil && (count < bestScore || best == nil ||
-						(count == bestScore && g2.NumStates() < best.NumStates()))
-					if g2 != nil && better {
-						best, bestLabels, bestScore, bestStrat = g2, labels, count, strat
+					labels, count, states := search.tryInsert(c, confl, strat, cur)
+					better := labels != nil && (count < bestScore || best == nil ||
+						(count == bestScore && states < bestStates))
+					if better {
+						best, bestScore, bestStates, bestStrat = labels, count, states, strat
 						if count == 0 {
 							break
 						}
@@ -747,17 +755,26 @@ func RepairTable(t *sg.RegionTable, opts Options) (*Result, error) {
 		res.Deduped += search.deduped
 		res.Pruned += search.pruned
 		res.SAT.Add(search.solver.Stats())
+		slots = search.scratch
 		if best == nil {
 			rsp.End()
 			publishRepair(res, round)
 			return nil, fmt.Errorf("encode: no insertion reduces the %d %s conflicts of %s",
 				len(confl), targetName, res.G.Name)
 		}
+		// The winner was scored in a chunk slot; expand it once more,
+		// into memory of its own.
+		next, images, err := expand(res.G, best, search.next)
+		if err != nil {
+			rsp.End()
+			publishRepair(res, round)
+			return nil, err
+		}
 		carried = nil
 		if !opts.DisableLearntCarry {
-			carried = search.carryOut(bestLabels)
+			carried = search.carryOut(images)
 		}
-		res.G = best
+		res.G = next
 		res.Added = append(res.Added, name)
 		res.Strategy = append(res.Strategy, bestStrat)
 		rsp.SetAttr("inserted", name)
@@ -777,19 +794,12 @@ const (
 // carryOut exports the round's learnt knowledge and remaps it onto the
 // variable space of the NEXT round, whose CNF is built over the chosen
 // expansion: old state s maps to label variables (2s+1, 2s+2), its
-// unique image i in the expanded graph to (2i+1, 2i+2). Clauses
-// touching split states, auxiliary variables, or round-local blocking
-// knowledge that does not survive the remap are dropped here; whatever
-// the next formula does not entail is dropped by its own import
-// certification.
-func (rs *roundSearch) carryOut(labels []Label) [][]sat.Lit {
-	if labels == nil {
-		return nil
-	}
-	_, images, err := expand(rs.g, labels, rs.name)
-	if err != nil {
-		return nil
-	}
+// unique image i = images[s] in the expanded graph (expand) to
+// (2i+1, 2i+2). Clauses touching split states, auxiliary variables, or
+// round-local blocking knowledge that does not survive the remap are
+// dropped here; whatever the next formula does not entail is dropped by
+// its own import certification.
+func (rs *roundSearch) carryOut(images []int) [][]sat.Lit {
 	exported := rs.solver.ExportLearnts(carryMaxLen, carryMaxLBD, carryMax)
 	maxVar := 2 * rs.g.NumStates()
 	out := make([][]sat.Lit, 0, len(exported))
@@ -924,6 +934,8 @@ type roundSearch struct {
 	seen      map[string]struct{} // canonical label-vector keys scored this round
 	hot       []string            // scan-first signals for budgeted scoring
 	next      sg.Graph            // the header every expansion of the round shares
+	key       []byte              // the current model's label vector, one byte per state
+	mirror    []byte              // its mirror image (canonicalKey)
 
 	models     int // SAT models enumerated
 	candidates int // unique label vectors expanded and scored
@@ -938,9 +950,10 @@ type roundSearch struct {
 
 	// scratch holds one slot of reusable scoring memory per chunk item:
 	// slot i is touched only by the worker scoring chunk item i, and a
-	// chunk never exceeds scoreChunkMax candidates. Graphs kept beyond a
-	// chunk's reduction are detached from their slot first.
-	scratch [scoreChunkMax]slotScratch
+	// chunk never exceeds scoreChunkMax candidates. It is allocated when
+	// the search first scores, unless the repair run hands in the slots
+	// of an earlier round.
+	scratch *[scoreChunkMax]slotScratch
 }
 
 func newRoundSearch(g *sg.Graph, name string, opts Options, hot []string) *roundSearch {
@@ -955,26 +968,29 @@ func newRoundSearch(g *sg.Graph, name string, opts Options, hot []string) *round
 		solver: solver, vars: vars, blockVars: blockVars,
 		seen: make(map[string]struct{}), hot: hot,
 		next: expansionOf(g, name),
+		key:  make([]byte, len(vars)), mirror: make([]byte, len(vars)),
 	}
 }
 
-// canonicalKey returns the lexicographically smaller of a label
-// vector's key and its mirror's key. The mirror labelling — 0↔1,
-// up↔down — is always valid when the original is (the label cycle and
-// its delayed edges map onto themselves), expands to an isomorphic
-// graph with the inserted signal's polarity inverted, and scores
-// identically; under the strict-improvement selection rule a mirror
-// can therefore never displace its twin, so scoring one member of
-// each mirror orbit is enough.
-func canonicalKey(key []byte) string {
-	mirror := make([]byte, len(key))
-	for i, b := range key {
-		mirror[i] = (b + 2) & 3 // L0↔L1, LR↔LF
+// canonicalKey reads the solver's last model into the label vector
+// key and returns the lexicographically smaller of it and its mirror
+// image, in the search's own buffers (valid until the next call). The
+// mirror labelling — 0↔1, up↔down — is always valid when the original
+// is (the label cycle and its delayed edges map onto themselves),
+// expands to an isomorphic graph with the inserted signal's polarity
+// inverted, and scores identically; under the strict-improvement
+// selection rule a mirror can therefore never displace its twin, so
+// scoring one member of each mirror orbit is enough.
+func (rs *roundSearch) canonicalKey() []byte {
+	for i, lv := range rs.vars {
+		b := byte(labelOf(rs.solver, lv))
+		rs.key[i] = b
+		rs.mirror[i] = (b + 2) & 3 // L0↔L1, LR↔LF
 	}
-	if string(mirror) < string(key) {
-		return string(mirror)
+	if string(rs.mirror) < string(rs.key) {
+		return rs.mirror
 	}
-	return string(key)
+	return rs.key
 }
 
 // scored is one candidate's verdict. A nil graph marks an invalid
@@ -994,8 +1010,7 @@ type scored struct {
 // read-only view of the round's graph. The scratch is owned by this
 // call for its duration (one chunk slot, one worker): the expansion,
 // its index and its lazy analyzer are rebuilt there in place, and the
-// returned graph aliases it and must be detached if it outlives the
-// chunk.
+// returned graph aliases it, valid only until the slot's next use.
 func (rs *roundSearch) score(labels []Label, budget int, scr *slotScratch) scored {
 	g2, _, err := expandInto(rs.g, labels, rs.next, scr)
 	if err != nil {
@@ -1015,15 +1030,15 @@ func (rs *roundSearch) score(labels []Label, budget int, scr *slotScratch) score
 }
 
 // tryInsert enumerates labellings for one conflict and strategy,
-// returning the expanded graph with the lowest remaining conflict
-// count (only when strictly below the current score; ties broken
-// towards smaller expansions), its labelling, and that count. Model
-// enumeration stays serial on the round's shared solver — it is
-// cheap next to scoring — while each chunk of unique models fans its
-// Expand + semi-modularity + conflict-count scoring out over the
-// worker pool. The reduction walks candidates in model order with
-// budgets fixed at chunk boundaries, so the selection is deterministic
-// regardless of worker count or completion order.
+// returning the labelling whose expansion has the lowest remaining
+// conflict count (only when strictly below the current score; ties
+// broken towards smaller expansions), that count, and the expansion's
+// state count. Model enumeration stays serial on the round's shared
+// solver — it is cheap next to scoring — while each chunk of unique
+// models fans its Expand + semi-modularity + conflict-count scoring
+// out over the worker pool. The reduction walks candidates in model
+// order with budgets fixed at chunk boundaries, so the selection is
+// deterministic regardless of worker count or completion order.
 //
 // Blocking is global: the canonical solver enumerates each labelling
 // of the round exactly once, whichever pair first reaches it, and
@@ -1040,7 +1055,7 @@ func (rs *roundSearch) score(labels []Label, budget int, scr *slotScratch) score
 // the auxiliary up/down variables are functions of them that are never
 // decided, so BlockModel always blocks by the short decision clause
 // here, and resumes whenever the search decided beyond the assumptions.
-func (rs *roundSearch) tryInsert(c conflict, all []conflict, strat Strategy, target int) (*sg.Graph, []Label, int) {
+func (rs *roundSearch) tryInsert(c conflict, all []conflict, strat Strategy, target int) ([]Label, int, int) {
 	solver, vars := rs.solver, rs.vars
 	assume := assumptionsFor(strat, c, vars)
 	if strat == Free {
@@ -1057,7 +1072,7 @@ func (rs *roundSearch) tryInsert(c conflict, all []conflict, strat Strategy, tar
 	// signal repairs as many conflicts as possible.
 	if strat == PackLow || strat == PackHigh {
 		if !solver.Solve(assume...) {
-			return nil, nil, target
+			return nil, target, 0
 		}
 		for i := range all {
 			c2 := all[i]
@@ -1074,9 +1089,8 @@ func (rs *roundSearch) tryInsert(c conflict, all []conflict, strat Strategy, tar
 		}
 	}
 
-	var best *sg.Graph
-	var bestLabels []Label
-	bestCount := target
+	var best []Label
+	bestCount, bestStates := target, 0
 	models, maxModels := 0, rs.opts.MaxModels
 	exhausted, stop := false, false
 	stall := 0
@@ -1105,24 +1119,21 @@ func (rs *roundSearch) tryInsert(c conflict, all []conflict, strat Strategy, tar
 				break
 			}
 			models++
-			m := solver.Model()
-			labels := make([]Label, len(vars))
-			key := make([]byte, len(vars))
-			for i, lv := range vars {
-				labels[i] = labelOf(m, lv)
-				key[i] = byte(labels[i])
-			}
+			ck := rs.canonicalKey()
 			if !solver.BlockModel(rs.blockVars...) {
 				exhausted = true
 			}
-			ck := canonicalKey(key)
-			if _, dup := rs.seen[ck]; dup {
+			if _, dup := rs.seen[string(ck)]; dup {
 				// A mirror twin of an already-scored labelling: its
 				// orbit already speaks for it in this round's selection.
 				rs.deduped++
 				continue
 			}
-			rs.seen[ck] = struct{}{}
+			rs.seen[string(ck)] = struct{}{}
+			labels := make([]Label, len(rs.key))
+			for i, b := range rs.key {
+				labels[i] = Label(b)
+			}
 			chunk = append(chunk, labels)
 		}
 		if len(chunk) == 0 {
@@ -1137,30 +1148,31 @@ func (rs *roundSearch) tryInsert(c conflict, all []conflict, strat Strategy, tar
 		// selection.
 		budget := bestCount + 1
 		scores := make([]scored, len(chunk))
+		if rs.scratch == nil {
+			rs.scratch = new([scoreChunkMax]slotScratch)
+		}
 		par.ForEachHook(len(chunk), rs.opts.Workers, func(i int) {
 			scores[i] = rs.score(chunk[i], budget, &rs.scratch[i])
 		}, obs.TaskHook("encode.score"))
 		rs.candidates += len(chunk)
-		chunkImproved := false
 		for i, sc := range scores {
 			improved := false
 			if sc.g != nil {
-				switch {
+				switch states := sc.g.NumStates(); {
 				case sc.pruned:
 					rs.pruned++
 				case sc.count >= budget:
 					// Exact but not competitive (CSC scoring is never
 					// truncated); above the chunk budget it can beat no
 					// incumbent this reduction reaches.
-				case sc.count < bestCount || (best != nil && sc.count == bestCount && sc.g.NumStates() < best.NumStates()):
-					best, bestLabels, bestCount = sc.g, chunk[i], sc.count
+				case sc.count < bestCount || (best != nil && sc.count == bestCount && states < bestStates):
+					best, bestCount, bestStates = chunk[i], sc.count, states
 					improved = true
-					chunkImproved = true
 				}
 			}
 			if improved {
 				stall = 0
-				if bestCount == 0 && best.NumStates() <= rs.g.NumStates()+2 {
+				if bestCount == 0 && bestStates <= rs.g.NumStates()+2 {
 					stop = true // minimal possible insertion footprint
 					break
 				}
@@ -1172,14 +1184,9 @@ func (rs *roundSearch) tryInsert(c conflict, all []conflict, strat Strategy, tar
 				stall++
 			}
 		}
-		if chunkImproved {
-			// The incumbent aliases a chunk slot's scratch; detach it
-			// before the next chunk's scoring overwrites the slot.
-			best = detachGraph(best)
-		}
 	}
 	rs.models += models
-	return best, bestLabels, bestCount
+	return best, bestCount, bestStates
 }
 
 // DescribeLabels renders a labelling for diagnostics.

@@ -40,6 +40,7 @@
 package sat
 
 import (
+	"math"
 	"slices"
 	"sort"
 )
@@ -117,34 +118,42 @@ const (
 	lFalse
 )
 
-type clause struct {
-	lits   []Lit
-	learnt bool
-	act    float64
-	lbd    int32 // literal block distance at learn time (learnt clauses)
+// cref addresses a clause in the solver's arena: the clause of length n
+// at offset c is arena[c] = n followed by its n literals. Offset 0 is
+// reserved, so the zero cref means "no clause" (a decision, an
+// assumption or a level-0 unit has no reason). Watchers, reasons and the
+// learnt list hold crefs, not pointers, so clause memory is one
+// pointer-free slice that the collector never scans and propagation
+// writes without write barriers.
+type cref int32
+
+const noClause cref = 0
+
+// learntClause is one learnt clause: its arena offset and its literal
+// block distance at learn time.
+type learntClause struct {
+	c   cref
+	lbd int32
 }
 
 // Solver is a CDCL SAT solver. The zero value is not usable; create
 // instances with New.
 type Solver struct {
 	nVars   int
-	clauses []*clause
-	learnts []*clause
-	watches [][]watcher // literal index → clauses watching that literal
+	arena   []Lit          // every clause of length ≥ 2, addressed by cref
+	learnts []learntClause // learnt and certified imported clauses, in order
+	watches [][]watcher    // literal index → clauses watching that literal
 
 	assign  []lbool // variable (1-based) → value
 	level   []int   // variable → decision level of assignment
-	reason  []*clause
+	reason  []cref  // variable → clause that implied it (noClause otherwise)
 	trail   []Lit
 	trailLo int // propagation queue head
 	limits  []int
 
 	activity []float64
 	varInc   float64
-	order    []int // lazily sorted decision order
 	phase    []bool
-
-	claInc float64
 
 	cfg     Config
 	lowHint int   // canonical mode: smallest variable that may be unassigned
@@ -154,6 +163,8 @@ type Solver struct {
 	seenMark   []int // variable → generation stamp, scratch for analyze and BlockModel
 	seenGen    int
 	analyzeBuf []Lit // reusable learnt-clause buffer for analyze
+	addBuf     []Lit // reusable normalization buffer for AddClause
+	blockBuf   []Lit // reusable blocking-clause buffer for BlockModel
 
 	// Resumable canonical enumeration. kept marks a trail left above
 	// level 0 as a valid search state under keptAssume, whose assumption
@@ -182,7 +193,7 @@ func New() *Solver {
 // NewWith returns an empty, satisfiable solver using the given
 // heuristic configuration.
 func NewWith(cfg Config) *Solver {
-	return &Solver{varInc: 1, claInc: 1, ok: true, cfg: cfg, lowHint: 1}
+	return &Solver{varInc: 1, ok: true, cfg: cfg, lowHint: 1}
 }
 
 // Stats returns a snapshot of the solver's search counters.
@@ -201,7 +212,7 @@ func (s *Solver) NewVar() int {
 	s.nVars++
 	s.assign = append(s.assign, lUndef)
 	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
+	s.reason = append(s.reason, noClause)
 	s.activity = append(s.activity, 0)
 	s.phase = append(s.phase, false)
 	s.watches = append(s.watches, nil, nil)
@@ -229,8 +240,10 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		return false
 	}
 	// Normalize: sort, drop duplicates and false literals, detect
-	// tautologies and satisfied clauses.
-	ls := append([]Lit(nil), lits...)
+	// tautologies and satisfied clauses. The clause is normalized in a
+	// reusable buffer and copied once, into the arena.
+	ls := append(s.addBuf[:0], lits...)
+	s.addBuf = ls
 	slices.Sort(ls)
 	out := ls[:0]
 	var prev Lit
@@ -269,11 +282,11 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.ok = false
 		return false
 	case 1:
-		if !s.enqueue(out[0], nil) {
+		if !s.enqueue(out[0], noClause) {
 			s.ok = false
 			return false
 		}
-		if s.propagate() != nil {
+		if s.propagate() != noClause {
 			s.ok = false
 			return false
 		}
@@ -288,10 +301,32 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	for i, j := 0, len(out)-1; i < j; i, j = i+1, j-1 {
 		out[i], out[j] = out[j], out[i]
 	}
-	c := &clause{lits: out}
-	s.clauses = append(s.clauses, c)
-	s.watch(c)
+	s.watch(s.alloc(out))
 	return true
+}
+
+// alloc copies a clause into the arena and returns its offset. The
+// slices lits returns point into the arena, so one must not be held
+// across an alloc, which may move the arena.
+func (s *Solver) alloc(lits []Lit) cref {
+	if len(s.arena) == 0 {
+		s.arena = append(s.arena, 0) // offset 0 is noClause
+	}
+	if len(s.arena) > math.MaxInt32-1-len(lits) {
+		panic("sat: clause arena full")
+	}
+	c := cref(len(s.arena))
+	s.arena = append(s.arena, Lit(len(lits)))
+	s.arena = append(s.arena, lits...)
+	return c
+}
+
+// lits returns clause c's literals, in the arena's own memory: swaps
+// through it reorder the clause in place. It stays valid until the
+// next alloc.
+func (s *Solver) lits(c cref) []Lit {
+	n := cref(s.arena[c])
+	return s.arena[c+1 : c+1+n : c+1+n]
 }
 
 // watcher is one entry of a literal's watch list. The blocker is some
@@ -300,18 +335,20 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 // clause without touching its memory. Model-blocking clauses are wide
 // and numerous here, so most watcher visits end at this one-word check.
 type watcher struct {
-	c       *clause
+	c       cref
 	blocker Lit
 }
 
-func (s *Solver) watch(c *clause) {
+func (s *Solver) watch(c cref) {
 	// Watch the negations of the first two literals: when one becomes
 	// true (literal false), the clause is inspected.
-	s.watches[c.lits[0].Neg().index()] = append(s.watches[c.lits[0].Neg().index()], watcher{c, c.lits[1]})
-	s.watches[c.lits[1].Neg().index()] = append(s.watches[c.lits[1].Neg().index()], watcher{c, c.lits[0]})
+	ls := s.lits(c)
+	w0, w1 := ls[0].Neg().index(), ls[1].Neg().index()
+	s.watches[w0] = append(s.watches[w0], watcher{c, ls[1]})
+	s.watches[w1] = append(s.watches[w1], watcher{c, ls[0]})
 }
 
-func (s *Solver) enqueue(l Lit, from *clause) bool {
+func (s *Solver) enqueue(l Lit, from cref) bool {
 	switch s.value(l) {
 	case lTrue:
 		return true
@@ -332,14 +369,15 @@ func (s *Solver) enqueue(l Lit, from *clause) bool {
 }
 
 // propagate performs unit propagation; it returns a conflicting clause or
-// nil.
+// noClause.
 //
 //reprolint:hotpath
-func (s *Solver) propagate() *clause {
+func (s *Solver) propagate() cref {
 	for s.trailLo < len(s.trail) {
 		l := s.trail[s.trailLo]
 		s.trailLo++
 		s.Propagations++
+		falseLit := l.Neg()
 		// Clauses watching l (i.e. containing ¬l as a watched literal...
 		// we stored watchers under the negation of the watched literal,
 		// so watchers of index(l) are clauses whose watched literal is
@@ -360,13 +398,16 @@ func (s *Solver) propagate() *clause {
 				continue
 			}
 			c := w.c
-			// Ensure the false literal is lits[1].
-			if c.lits[0] == l.Neg() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			// Propagation allocates no clause, so ls stays valid for the
+			// whole visit.
+			ls := s.lits(c)
+			// Ensure the false literal is ls[1].
+			if ls[0] == falseLit {
+				ls[0], ls[1] = ls[1], ls[0]
 			}
 			// If the other watched literal is true, keep watching and
 			// remember it as the blocker.
-			first := c.lits[0]
+			first := ls[0]
 			if s.value(first) == lTrue {
 				ws[j] = watcher{c, first}
 				j++
@@ -374,10 +415,11 @@ func (s *Solver) propagate() *clause {
 			}
 			// Look for a new literal to watch.
 			found := false
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Neg().index()] = append(s.watches[c.lits[1].Neg().index()], watcher{c, first})
+			for k := 2; k < len(ls); k++ {
+				if s.value(ls[k]) != lFalse {
+					ls[1], ls[k] = ls[k], ls[1]
+					wl := ls[1].Neg().index()
+					s.watches[wl] = append(s.watches[wl], watcher{c, first})
 					found = true
 					break
 				}
@@ -398,7 +440,7 @@ func (s *Solver) propagate() *clause {
 		}
 		s.watches[l.index()] = ws[:j]
 	}
-	return nil
+	return noClause
 }
 
 func (s *Solver) bumpVar(v int) {
@@ -435,7 +477,7 @@ func (s *Solver) computeLBD(lits []Lit) int32 {
 
 // analyze performs first-UIP conflict analysis and returns the learnt
 // clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
+func (s *Solver) analyze(confl cref) ([]Lit, int) {
 	learnt := append(s.analyzeBuf[:0], 0) // slot 0 reserved for the asserting literal
 	if len(s.seenMark) < s.nVars {
 		s.seenMark = make([]int, s.nVars)
@@ -456,7 +498,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 
 	c := confl
 	for {
-		for _, q := range c.lits {
+		for _, q := range s.lits(c) {
 			if p != 0 && q == p {
 				continue
 			}
@@ -487,7 +529,7 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 		if counter == 0 {
 			break
 		}
-		if c == nil {
+		if c == noClause {
 			// Decision literal reached with pending counts; should not
 			// happen in well-formed analysis, but guard anyway.
 			break
@@ -519,7 +561,6 @@ func (s *Solver) backtrackTo(level int) {
 	for i := len(s.trail) - 1; i >= lo; i-- {
 		v := s.trail[i].Var()
 		s.assign[v-1] = lUndef
-		s.reason[v-1] = nil
 		if v < s.lowHint {
 			s.lowHint = v
 		}
@@ -581,7 +622,7 @@ func (s *Solver) Solve(assumptions ...Lit) bool {
 		return s.search(assumptions, s.keptLevel)
 	}
 	s.release()
-	if s.propagate() != nil {
+	if s.propagate() != noClause {
 		s.ok = false
 		return false
 	}
@@ -596,8 +637,8 @@ func (s *Solver) Solve(assumptions ...Lit) bool {
 			return false
 		}
 		s.limits = append(s.limits, len(s.trail))
-		s.enqueue(a, nil)
-		if s.propagate() != nil {
+		s.enqueue(a, noClause)
+		if s.propagate() != noClause {
 			s.backtrackTo(0)
 			return false
 		}
@@ -611,7 +652,7 @@ func (s *Solver) search(assumptions []Lit, assumpLevel int) bool {
 	restartBudget := restartBase
 	for {
 		confl := s.propagate()
-		if confl != nil {
+		if confl != noClause {
 			s.Conflicts++
 			if len(s.limits) <= assumpLevel {
 				if len(s.limits) == 0 {
@@ -626,16 +667,15 @@ func (s *Solver) search(assumptions []Lit, assumpLevel int) bool {
 			}
 			s.backtrackTo(back)
 			if len(learnt) == 1 {
-				if !s.enqueue(learnt[0], nil) {
+				if !s.enqueue(learnt[0], noClause) {
 					s.backtrackTo(0)
 					return false
 				}
 			} else {
-				// analyze returns its reusable buffer; the kept clause needs
-				// its own copy.
-				c := &clause{lits: append(make([]Lit, 0, len(learnt)), learnt...),
-					learnt: true, act: s.claInc, lbd: s.computeLBD(learnt)}
-				s.learnts = append(s.learnts, c)
+				// analyze returns its reusable buffer; alloc copies it
+				// into the arena.
+				c := s.alloc(learnt)
+				s.learnts = append(s.learnts, learntClause{c, s.computeLBD(learnt)})
 				s.watch(c)
 				s.enqueue(learnt[0], c)
 			}
@@ -651,9 +691,13 @@ func (s *Solver) search(assumptions []Lit, assumpLevel int) bool {
 		}
 		l := s.pickBranch()
 		if l == 0 {
-			// Complete assignment: record the model. A canonical search
-			// keeps the trail for BlockModel and a resumed Solve.
-			s.model = make([]bool, s.nVars)
+			// Complete assignment: record the model, refilling the
+			// model buffer in place. A canonical search keeps the trail
+			// for BlockModel and a resumed Solve.
+			if cap(s.model) < s.nVars {
+				s.model = make([]bool, s.nVars)
+			}
+			s.model = s.model[:s.nVars]
 			for v := 1; v <= s.nVars; v++ {
 				s.model[v-1] = s.assign[v-1] == lTrue
 			}
@@ -668,7 +712,7 @@ func (s *Solver) search(assumptions []Lit, assumpLevel int) bool {
 		}
 		s.Decisions++
 		s.limits = append(s.limits, len(s.trail))
-		s.enqueue(l, nil)
+		s.enqueue(l, noClause)
 	}
 }
 
@@ -717,8 +761,7 @@ func (s *Solver) BlockModel(vars ...int) bool {
 			}
 			s.atModel = false
 			s.backtrackTo(k - 1)
-			c := &clause{lits: lits}
-			s.clauses = append(s.clauses, c)
+			c := s.alloc(lits)
 			s.watch(c)
 			s.enqueue(lits[0], c)
 			return true
@@ -731,7 +774,7 @@ func (s *Solver) BlockModel(vars ...int) bool {
 			vars[i] = i + 1
 		}
 	}
-	lits := make([]Lit, 0, len(vars))
+	lits := s.blockBuf[:0]
 	for _, v := range vars {
 		if s.model[v-1] {
 			lits = append(lits, Lit(-v))
@@ -739,13 +782,16 @@ func (s *Solver) BlockModel(vars ...int) bool {
 			lits = append(lits, Lit(v))
 		}
 	}
+	s.blockBuf = lits
 	return s.AddClause(lits...)
 }
 
 // decisionClause returns the negations of the kept trail's decision
 // literals, deepest first, or nil when one of them lies outside vars
 // (empty vars means every variable) or the trail holds no decision.
-// The two deepest literals lead, so they are the ones watched.
+// The two deepest literals lead, so they are the ones watched. The
+// clause lives in the solver's blocking buffer until the next
+// BlockModel.
 func (s *Solver) decisionClause(vars []int) []Lit {
 	k := len(s.limits)
 	if k == 0 {
@@ -765,10 +811,11 @@ func (s *Solver) decisionClause(vars []int) []Lit {
 			}
 		}
 	}
-	lits := make([]Lit, k)
+	lits := slices.Grow(s.blockBuf[:0], k)[:k]
 	for i, lo := range s.limits {
 		lits[k-1-i] = s.trail[lo].Neg()
 	}
+	s.blockBuf = lits
 	return lits
 }
 
@@ -792,15 +839,16 @@ func (s *Solver) ExportLearnts(maxLen, maxLBD, max int) [][]Lit {
 		out = append(out, []Lit{l})
 	}
 	buf := make([]Lit, 0, maxLen)
-	for _, c := range s.learnts {
-		if int(c.lbd) > maxLBD || len(c.lits) > maxLen+len(s.trail) {
+	for _, lc := range s.learnts {
+		ls := s.lits(lc.c)
+		if int(lc.lbd) > maxLBD || len(ls) > maxLen+len(s.trail) {
 			// The length pre-filter is loose (stripping can only shrink);
 			// the exact check happens after reduction.
 			continue
 		}
 		buf = buf[:0]
 		sat0 := false
-		for _, l := range c.lits {
+		for _, l := range ls {
 			switch s.value(l) {
 			case lTrue:
 				sat0 = true
@@ -897,13 +945,13 @@ next:
 		s.limits = append(s.limits, len(s.trail))
 		entailed := false
 		for _, l := range out {
-			if !s.enqueue(l.Neg(), nil) {
+			if !s.enqueue(l.Neg(), noClause) {
 				entailed = true
 				break
 			}
 		}
 		if !entailed {
-			entailed = s.propagate() != nil
+			entailed = s.propagate() != noClause
 		}
 		s.backtrackTo(0)
 		if !entailed {
@@ -911,16 +959,14 @@ next:
 			continue
 		}
 		if len(out) == 1 {
-			if !s.enqueue(out[0], nil) || s.propagate() != nil {
+			if !s.enqueue(out[0], noClause) || s.propagate() != noClause {
 				s.ok = false
 			}
 			kept++
 			continue
 		}
-		cl := make([]Lit, len(out))
-		copy(cl, out)
-		c := &clause{lits: cl, learnt: true, act: s.claInc, lbd: int32(len(cl))}
-		s.learnts = append(s.learnts, c)
+		c := s.alloc(out)
+		s.learnts = append(s.learnts, learntClause{c, int32(len(out))})
 		s.watch(c)
 		kept++
 	}
