@@ -23,9 +23,16 @@
 //	-share      enable Section-VI generalized-MC gate sharing
 //	-baseline   use the correct-cover baseline instead of MC synthesis
 //	-dot        print the final state graph in Graphviz syntax
+//	-verilog    print the implementation as structural Verilog
+//	-fanin N    map the netlist to a library of AND/OR gates with at
+//	            most N inputs; timing obligations the mapping leaves
+//	            are validated by simulation
+//	-inverters  map pin bubbles to explicit inverter cells (alone or
+//	            with -fanin)
 //	-quiet      print only the verdict line
-//	-parallel N bound the analysis/benchmark worker pools (0 = GOMAXPROCS,
-//	            1 = sequential)
+//	-parallel N bound the -table1 benchmark sweep and, unless
+//	            -repair-workers is set, the repair candidate-scoring
+//	            pool (0 = GOMAXPROCS, 1 = sequential)
 //	-maxmodels N    bound the SAT models enumerated per conflict/strategy
 //	                pair during state-signal insertion (0 = default 128)
 //	-repair-workers N  bound the repair candidate-scoring pool
@@ -52,6 +59,11 @@
 //	-serve-queue N  queued jobs beyond running before 429 backpressure
 //	                (0 = 2x shards)
 //	-serve-cache N  stage-cache entry cap (0 = 1024)
+//
+// Under -serve, -repair-workers bounds each job's scoring pool, and 0
+// means 1 because the shards already run jobs concurrently. -parallel,
+// -rs, -share and -maxmodels do not apply: each request sets rs, share
+// and maxmodels itself.
 //
 // SIGINT/SIGTERM drain cleanly in every mode: in-flight server jobs
 // finish, the ops plane closes, and profiles/journals flush through the
@@ -290,9 +302,9 @@ func main() {
 	inverters := flag.Bool("inverters", false, "map pin bubbles to explicit inverter cells")
 	verilog := flag.Bool("verilog", false, "print the implementation as structural Verilog")
 	engineName := flag.String("engine", "explicit", "past the explicit state limit: explicit fails, symbolic or auto print a symbolic analysis-only report")
-	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = sequential)")
+	parallel := flag.Int("parallel", 0, "-table1 sweep pool size, and the repair-scoring pool's unless -repair-workers is set (0 = GOMAXPROCS, 1 = sequential; unused by -serve)")
 	maxModels := flag.Int("maxmodels", 0, "max SAT models per conflict/strategy pair in repair (0 = default 128)")
-	repairWorkers := flag.Int("repair-workers", 0, "repair candidate-scoring pool size (0 = follow -parallel, 1 = sequential)")
+	repairWorkers := flag.Int("repair-workers", 0, "repair candidate-scoring pool size (0 = follow -parallel, or 1 per job under -serve; 1 = sequential)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	benchjson := flag.String("benchjson", "", "benchmark the Table-1 pipeline stages and write the JSON report to this file")

@@ -19,8 +19,8 @@
 //     are not commensurable. Unless explicitly overridden, a diff
 //     across Go versions, CPU models or GOGC settings refuses to run
 //     rather than report nonsense.
-//   - GOMAXPROCS refusal. The analyze and repair stages size their
-//     worker pools from GOMAXPROCS, so even allocs/op changes with it.
+//   - GOMAXPROCS refusal. The repair stage sizes its scoring pool
+//     from GOMAXPROCS, so even allocs/op changes with it.
 //     A diff across GOMAXPROCS settings refuses to run, override or not.
 package bench
 
@@ -184,11 +184,11 @@ func findEntry(entries []Entry, name string) *Entry {
 // unless opts.AllowCrossMachine; in that mode only the allocs/op gate
 // keeps its full strength, since allocation counts survive a machine
 // change and wall time does not. It always refuses reports taken at
-// different GOMAXPROCS: the worker pools of the analyze and repair
-// stages follow it, so neither metric survives that change.
+// different GOMAXPROCS: the repair stage's scoring pool follows it, so
+// neither metric survives that change.
 func Diff(oldR, newR *Report, opts DiffOptions) (*DiffResult, error) {
 	if oldR.GOMAXPROCS != newR.GOMAXPROCS {
-		return nil, fmt.Errorf("bench: refusing comparison across GOMAXPROCS (old %d, new %d): the analyze and repair worker pools follow it, so time/op and allocs/op both change; re-run at GOMAXPROCS=%d",
+		return nil, fmt.Errorf("bench: refusing comparison across GOMAXPROCS (old %d, new %d): the repair scoring pool follows it, so time/op and allocs/op both change; re-run at GOMAXPROCS=%d",
 			oldR.GOMAXPROCS, newR.GOMAXPROCS, oldR.GOMAXPROCS)
 	}
 	res := &DiffResult{

@@ -160,8 +160,8 @@ func TestDiffRefusesCrossMachine(t *testing.T) {
 	}
 }
 
-// TestDiffRefusesDifferentGOMAXPROCS: the analyze and repair stages
-// size their worker pools from GOMAXPROCS, so a report taken at another
+// TestDiffRefusesDifferentGOMAXPROCS: the repair stage sizes its
+// scoring pool from GOMAXPROCS, so a report taken at another
 // setting differs in allocs/op as well as time/op. Diff refuses it even
 // when cross-machine comparison is allowed.
 func TestDiffRefusesDifferentGOMAXPROCS(t *testing.T) {

@@ -16,9 +16,10 @@ type Table1Result struct {
 // RunTable1 synthesizes every Table-1 benchmark and returns the results
 // in table order. Benchmarks run concurrently on a bounded worker pool
 // (workers = 0 means GOMAXPROCS, 1 means sequential); each individual
-// synthesis additionally inherits opts.Parallel for its own per-signal
-// fan-out. Results land in index-addressed slots, so the output order —
-// and every report in it — is independent of scheduling.
+// synthesis additionally inherits opts.Parallel for its repair's
+// candidate scoring. Results land in index-addressed slots, so the
+// output order — and every report in it — is independent of
+// scheduling.
 func RunTable1(opts synth.Options, workers int) []Table1Result {
 	out := make([]Table1Result, len(Table1))
 	par.ForEachHook(len(Table1), workers, func(i int) {

@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/benchdata"
@@ -36,4 +38,45 @@ func TestCountViolationsAllocationCount(t *testing.T) {
 				e.Name, n, limit, nonInput)
 		}
 	}
+}
+
+// Analysis runs on its caller, so its allocations cannot depend on the
+// core count. testing.AllocsPerRun pins GOMAXPROCS to 1, so the test
+// counts heap allocations itself, at GOMAXPROCS 1 and 2.
+func TestCheckGraphAllocationsIgnoreGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, name := range []string{"duplicator", "nak-pa"} {
+		e, ok := benchdata.Table1ByName(name)
+		if !ok {
+			t.Fatalf("no Table-1 entry %s", name)
+		}
+		g, err := stg.BuildSG(e.STG())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var counts [2]uint64
+		for i := range counts {
+			runtime.GOMAXPROCS(i + 1)
+			counts[i] = mallocs(func() { core.NewAnalyzer(g).CheckGraph() })
+		}
+		if counts[0] != counts[1] {
+			t.Errorf("%s: NewAnalyzer(g).CheckGraph() makes %d allocations at GOMAXPROCS=1 and %d at 2",
+				name, counts[0], counts[1])
+		}
+	}
+}
+
+// mallocs returns the fewest heap allocations f makes in five runs,
+// after one run to warm up.
+func mallocs(f func()) uint64 {
+	f()
+	fewest := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 5 {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
 }

@@ -22,31 +22,29 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/cube"
-	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/sg"
 )
 
 // Analyzer caches the region decomposition and dense index of one state
-// graph and answers Monotonous Cover queries against it. Its query
-// methods are safe for concurrent use once constructed, except
-// CountViolationsBudget, which reuses the analyzer's scratch buffers.
+// graph and answers Monotonous Cover queries against it, one signal at
+// a time on the calling goroutine. CheckGraph and CountViolationsBudget
+// work in the analyzer's buffers, so only one goroutine at a time may
+// call them. Cover derivation — ExcitationFunctions, ShareOptimize,
+// CheckGeneralizedMC, FindMC and CheckMC — touches no buffer and, on an
+// eager analyzer (NewAnalyzer, NewAnalyzerFrom), writes nothing, so it
+// is safe for concurrent use: the server's netlist stages share one
+// repair result's Report.A.
 type Analyzer struct {
 	G    *sg.Graph
 	Idx  *sg.Index     // dense excitation/successor index of G
 	Regs []*sg.Regions // indexed by signal
 
-	workers int // worker-pool bound for per-signal fan-out
-
-	// The reusable buffers of the sequential existence-only count
-	// (CountViolationsBudget): its scan order, the CFR of hasMC, the
-	// failed flags of countSignal and the sets and regions of a grouped
-	// target. The parallel fan-outs of CheckGraph never touch them: they
-	// run checkSignal, which builds its CFRs and targets per call.
+	// The reusable buffers of CheckGraph and CountViolationsBudget:
+	// the scan order, the CFR of hasMC, the failed flags of checkSignal
+	// and countSignal, and the sets and regions of a grouped target.
 	order    []int
 	cfrBuf   sg.StateSet
 	failBuf  []bool
@@ -58,45 +56,28 @@ type Analyzer struct {
 	arena *sg.RegionArena
 }
 
-// NewAnalyzer computes the dense index and the region decomposition of
-// every signal, fanning the per-signal decompositions out over
-// GOMAXPROCS workers.
-func NewAnalyzer(g *sg.Graph) *Analyzer { return NewAnalyzerN(g, 0) }
-
-// NewAnalyzerN is NewAnalyzer with an explicit worker-pool bound
-// (0 = GOMAXPROCS, 1 = sequential).
-func NewAnalyzerN(g *sg.Graph, workers int) *Analyzer {
-	ix := sg.NewIndex(g)
-	regs := make([]*sg.Regions, g.NumSignals())
-	workers = par.Workers(workers)
-	if o := obs.Get(); o != nil {
-		o.Metrics.Gauge("par_pool_size", "pool", "core.regions").Set(int64(workers))
-	}
-	par.ForEachHook(len(regs), workers, func(sig int) {
-		regs[sig] = ix.RegionsOf(sig)
-	}, obs.TaskHook("core.regions"))
-	return &Analyzer{G: g, Idx: ix, Regs: regs, workers: workers}
-}
+// NewAnalyzer builds an analyzer over g's region table: the dense
+// index and the region decomposition of every signal.
+func NewAnalyzer(g *sg.Graph) *Analyzer { return NewAnalyzerFrom(sg.NewRegionTable(g)) }
 
 // NewAnalyzerFrom builds an analyzer over a graph's region table
 // instead of decomposing the graph again: its Regs hold the table's
 // own *sg.Regions. The analyzer copies the table's signal slice and
 // never writes to the table, so analyzers on one shared table may run
-// concurrently. workers bounds CheckGraph's per-signal fan-out as in
-// NewAnalyzerN.
-func NewAnalyzerFrom(t *sg.RegionTable, workers int) *Analyzer {
-	return &Analyzer{G: t.Idx.G, Idx: t.Idx, Regs: slices.Clone(t.Regs), workers: par.Workers(workers)}
+// concurrently.
+func NewAnalyzerFrom(t *sg.RegionTable) *Analyzer {
+	return &Analyzer{G: t.Idx.G, Idx: t.Idx, Regs: slices.Clone(t.Regs)}
 }
 
-// NewAnalyzerLazy builds a sequential analyzer that decomposes a
-// signal's regions on first use instead of up front. Budgeted scoring
+// NewAnalyzerLazy builds an analyzer that decomposes a signal's
+// regions on first use instead of up front. Budgeted scoring
 // over throwaway candidate graphs usually inspects only a few signals
 // before hitting its budget, so the eager whole-graph decomposition is
 // mostly wasted there. It takes the graph's index, which the scorer
 // has already built for its semi-modularity check. Lazy analyzers are
 // not safe for concurrent use.
 func NewAnalyzerLazy(ix *sg.Index) *Analyzer {
-	return &Analyzer{G: ix.G, Idx: ix, Regs: make([]*sg.Regions, ix.G.NumSignals()), workers: 1}
+	return &Analyzer{G: ix.G, Idx: ix, Regs: make([]*sg.Regions, ix.G.NumSignals())}
 }
 
 // Reset turns a into a lazy analyzer of ix's graph, like the one
@@ -116,14 +97,14 @@ func (a *Analyzer) Reset(ix *sg.Index) {
 	}
 	a.Regs = a.Regs[:n]
 	clear(a.Regs)
-	a.G, a.Idx, a.workers = ix.G, ix, 1
+	a.G, a.Idx = ix.G, ix
 }
 
 // regs returns signal sig's region decomposition, computing it on
 // demand. Every internal consumer goes through this accessor so lazy
 // analyzers work on all paths; eager analyzers always hit the
-// precomputed entry, which keeps the parallel per-signal fan-outs free
-// of writes.
+// precomputed entry, which keeps concurrent cover derivation free of
+// writes.
 func (a *Analyzer) regs(sig int) *sg.Regions {
 	if r := a.Regs[sig]; r != nil {
 		return r
@@ -685,24 +666,13 @@ func (r *Report) String() string {
 }
 
 // CheckGraph evaluates the MC requirement for every excitation region of
-// every non-input signal. The per-signal analyses are independent and
-// fan out over the analyzer's worker pool; results are assembled in
-// signal order, so the report is deterministic.
+// every non-input signal, in signal order.
 func (a *Analyzer) CheckGraph() *Report {
 	rep := &Report{G: a.G, A: a}
-	sigs := make([]int, 0, a.G.NumSignals())
 	for sig := range a.G.Signals {
 		if !a.G.Input[sig] {
-			sigs = append(sigs, sig)
+			rep.Results = a.checkSignal(sig, rep.Results)
 		}
-	}
-	sort.Ints(sigs)
-	perSig := make([][]RegionResult, len(sigs))
-	par.ForEachHook(len(sigs), a.workers, func(k int) {
-		perSig[k] = a.checkSignal(sigs[k])
-	}, obs.TaskHook("core.mc"))
-	for _, results := range perSig {
-		rep.Results = append(rep.Results, results...)
 	}
 	return rep
 }
@@ -738,17 +708,15 @@ func (a *Analyzer) scanOrder(hot []string) []int {
 
 // CountViolationsBudget counts the graph's MC-violating excitation
 // regions with a branch-and-bound budget; it is the repair loop's
-// candidate scorer. It scans the non-input signals sequentially, hot
-// names first (scanOrder), and stops once the count reaches budget
-// (budget <= 0 means no bound). The count is exact below budget and
+// candidate scorer. It scans the non-input signals, hot names first
+// (scanOrder), and stops once the count reaches budget (budget <= 0
+// means no bound). The count is exact below budget and
 // means "at least budget" otherwise, which is all a scorer needs to
 // discard a candidate against an incumbent with fewer violations. Each
 // signal gets the same verdict as in CheckGraph, but no report is
 // assembled and the success-path cube shrinking is skipped, since
 // greedy literal dropping can never turn a found cover into a
-// violation (or vice versa). The scan is deliberately sequential: the
-// repair loop already scores candidates in parallel, so a per-signal
-// fan-out underneath would only oversubscribe the pool.
+// violation (or vice versa).
 func (a *Analyzer) CountViolationsBudget(budget int, hot ...string) int {
 	violations := 0
 	for _, sig := range a.scanOrder(hot) {
@@ -774,7 +742,7 @@ func (a *Analyzer) countSignal(sig int) int {
 		failed[i] = !a.hasMC(regs, i)
 		anyFailed = anyFailed || failed[i]
 	}
-	if !anyFailed || a.groupSameFunction(sig, failed, nil, true) {
+	if !anyFailed || a.groupSameFunction(sig, failed, nil) {
 		return 0
 	}
 	if _, ok := a.WireOf(sig); ok {
@@ -789,20 +757,22 @@ func (a *Analyzer) countSignal(sig int) int {
 	return n
 }
 
-// checkSignal evaluates the MC requirement for every excitation region
-// of one signal, including the shared-cube and degenerate fallbacks.
-func (a *Analyzer) checkSignal(sig int) []RegionResult {
+// checkSignal appends to results the MC verdict of every excitation
+// region of one signal, including the shared-cube and degenerate
+// fallbacks.
+func (a *Analyzer) checkSignal(sig int, results []RegionResult) []RegionResult {
 	n := a.G.NumSignals()
 	ers := a.regs(sig).ER
-	results := make([]RegionResult, len(ers))
-	failed := make([]bool, len(ers))
+	a.failBuf = sized(a.failBuf, len(ers))
+	failed := a.failBuf
 	anyFailed := false
 	for i, er := range ers {
 		c, v := a.FindMC(er)
-		results[i] = RegionResult{Signal: sig, ER: er, Cube: c, Violation: v}
+		results = append(results, RegionResult{Signal: sig, ER: er, Cube: c, Violation: v})
 		failed[i] = v != nil
 		anyFailed = anyFailed || failed[i]
 	}
+	own := results[len(results)-len(ers):]
 	if anyFailed {
 		// Multiple transitions of one signal may share a single cube
 		// (Definition 19 with F a set of same-signal transitions):
@@ -810,24 +780,24 @@ func (a *Analyzer) checkSignal(sig int) []RegionResult {
 		// alternative branches. Try a generalized cube over all
 		// regions of the same direction.
 		anyFailed = !a.groupSameFunction(sig, failed, func(i int, m mask) {
-			results[i].Cube = m.toCube(n)
-			results[i].Violation = nil
-		}, false)
+			own[i].Cube = m.toCube(n)
+			own[i].Violation = nil
+		})
 	}
 	if anyFailed {
 		// Degenerate fallback: the whole signal as a single-literal
 		// wire needs only correct covers (Section IV, note 2).
 		if w, ok := a.WireOf(sig); ok {
-			for i := range results {
+			for i := range own {
 				c := cube.NewFull(n)
 				lit := cube.One
-				if (results[i].ER.Dir == sg.Plus) == w.Inverted {
+				if (own[i].ER.Dir == sg.Plus) == w.Inverted {
 					lit = cube.Zero
 				}
 				c.Set(w.Of, lit)
-				results[i].Cube = c
-				results[i].Violation = nil
-				results[i].Degenerate = true
+				own[i].Cube = c
+				own[i].Violation = nil
+				own[i].Degenerate = true
 			}
 		}
 	}
@@ -840,12 +810,12 @@ func (a *Analyzer) checkSignal(sig int) []RegionResult {
 // groups are all regions of a direction, then only its failed ones.
 // For every group it accepts it clears failed and, when cover is not
 // nil, calls cover with each member's index and the shared cube; it
-// reports whether no region is left failed. With reuse set (the
-// sequential count) it builds its targets in the analyzer's buffers.
+// reports whether no region is left failed. It builds its targets in
+// the analyzer's buffers.
 //
 // Most groups fail because their supercube is not even a correct cover
 // (Definition 16), so that test runs first, before any CFR is built.
-func (a *Analyzer) groupSameFunction(sig int, failed []bool, cover func(i int, m mask), reuse bool) bool {
+func (a *Analyzer) groupSameFunction(sig int, failed []bool, cover func(i int, m mask)) bool {
 	regs := a.regs(sig)
 	for _, dir := range []sg.Dir{sg.Plus, sg.Minus} {
 		same, nfailed := 0, 0
@@ -879,7 +849,7 @@ func (a *Analyzer) groupSameFunction(sig int, failed []bool, cover func(i int, m
 			if a.incorrect(sig, dir, sup, 0) >= 0 {
 				continue
 			}
-			t := a.groupTarget(regs, in, reuse)
+			t := a.groupTarget(regs, in)
 			found, ok := a.search(&t, sup)
 			if !ok {
 				continue
@@ -918,20 +888,14 @@ func (a *Analyzer) groupSameFunction(sig int, failed []bool, cover func(i int, m
 }
 
 // groupTarget is the target of the excitation regions of regs selected
-// by in, with the union and the CFRs carved from one set of words: the
-// analyzer's reusable buffers when reuse is set, else new ones.
-func (a *Analyzer) groupTarget(regs *sg.Regions, in func(i int) bool, reuse bool) target {
+// by in, with the union and the CFRs carved from the analyzer's
+// reusable buffers.
+func (a *Analyzer) groupTarget(regs *sg.Regions, in func(i int) bool) target {
 	words := (a.G.NumStates() + 63) / 64
-	var buf sg.StateSet
-	var cfrs []cfrOf
-	if reuse {
-		a.groupBuf = sized(a.groupBuf, (len(regs.ER)+1)*words)
-		clear(a.groupBuf[:words])
-		buf, cfrs = a.groupBuf, a.groupCFR[:0]
-	} else {
-		buf, cfrs = make(sg.StateSet, (len(regs.ER)+1)*words), make([]cfrOf, 0, len(regs.ER))
-	}
-	t := target{regions: cfrs, union: buf[:words:words]}
+	a.groupBuf = sized(a.groupBuf, (len(regs.ER)+1)*words)
+	buf := a.groupBuf
+	clear(buf[:words])
+	t := target{regions: a.groupCFR[:0], union: buf[:words:words]}
 	for i, er := range regs.ER {
 		if in(i) {
 			buf = buf[words:]
@@ -940,9 +904,7 @@ func (a *Analyzer) groupTarget(regs *sg.Regions, in func(i int) bool, reuse bool
 			t.union.UnionWith(cfr)
 		}
 	}
-	if reuse {
-		a.groupCFR = t.regions
-	}
+	a.groupCFR = t.regions
 	return t
 }
 

@@ -233,7 +233,7 @@ func TestCountViolationsBudgetMatchesCheckGraph(t *testing.T) {
 
 func checkBudgetedCount(t *testing.T, name string, g *sg.Graph) {
 	t.Helper()
-	want := len(core.NewAnalyzerN(g, 1).CheckGraph().Violations())
+	want := len(core.NewAnalyzer(g).CheckGraph().Violations())
 	ix := sg.NewIndex(g)
 	if got := core.NewAnalyzerLazy(ix).CountViolationsBudget(0); got != want {
 		t.Fatalf("%s: count %d, CheckGraph %d violations", name, got, want)
@@ -444,7 +444,7 @@ func TestDifferentialFindMCVsReference(t *testing.T) {
 	}
 	searched, repaired := 0, 0
 	for name, g := range graphs {
-		a := core.NewAnalyzerN(g, 1)
+		a := core.NewAnalyzer(g)
 		for sig := range g.Signals {
 			if g.Input[sig] {
 				continue

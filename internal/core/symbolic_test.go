@@ -43,7 +43,7 @@ func fingerprint(states []int) string { return fmt.Sprint(states) }
 // matched by state set.
 func TestSymRegionsMatchExplicit(t *testing.T) {
 	for name, g := range diffGraphs(t) {
-		a := core.NewAnalyzerN(g, 1)
+		a := core.NewAnalyzer(g)
 		sp := core.NewGraphSpace(g, a.Idx)
 		for sig := 0; sig < g.NumSignals(); sig++ {
 			exp := a.Regs[sig]
@@ -115,7 +115,7 @@ func TestSymRegionsMatchExplicit(t *testing.T) {
 // it has one under the other.
 func TestSymMCViolationMatchesExplicit(t *testing.T) {
 	for name, g := range diffGraphs(t) {
-		a := core.NewAnalyzerN(g, 1)
+		a := core.NewAnalyzer(g)
 		sp := core.NewGraphSpace(g, a.Idx)
 		for sig := 0; sig < g.NumSignals(); sig++ {
 			if g.Input[sig] {

@@ -124,7 +124,7 @@ func TestEdgeClausesAdmitExactlyTheAllowedPairs(t *testing.T) {
 // replaced. It is exported for the differential test in
 // differential_test.go, which needs the benchmark graphs.
 func CanonicalModelSequences(g *sg.Graph, reference bool, maxModels int) [][][]Label {
-	rep := core.NewAnalyzerN(g, 1).CheckGraph()
+	rep := core.NewAnalyzer(g).CheckGraph()
 	confl := mcConflicts(g, rep)
 	var c conflict
 	strategies := []Strategy{Free}

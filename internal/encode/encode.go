@@ -382,10 +382,10 @@ type Options struct {
 	Strategies []Strategy
 	// Target selects the property to establish (default TargetMC).
 	Target Target
-	// Workers bounds the worker pool of the per-signal MC analyses and
-	// the candidate scoring run inside the repair loop (0 = GOMAXPROCS,
-	// 1 = sequential). Models come from one canonical solver, so the
-	// worker count never changes the synthesized netlist.
+	// Workers bounds the worker pool of the repair loop's candidate
+	// scoring (0 = GOMAXPROCS, 1 = sequential). Models come from one
+	// canonical solver, so the worker count never changes the
+	// synthesized netlist.
 	Workers int
 	// DisableLearntCarry turns off cross-round learnt-clause carrying.
 	// Carried clauses are re-certified against the next round's own
@@ -656,9 +656,9 @@ func RepairTable(t *sg.RegionTable, opts Options) (*Result, error) {
 		rsp := obs.Start("repair.round", obs.A("round", round), obs.A("spec", g.Name))
 		var a *core.Analyzer
 		if round == 0 {
-			a = core.NewAnalyzerFrom(t, opts.Workers)
+			a = core.NewAnalyzerFrom(t)
 		} else {
-			a = core.NewAnalyzerN(res.G, opts.Workers)
+			a = core.NewAnalyzer(res.G)
 		}
 		rep := a.CheckGraph()
 		res.Report = rep

@@ -36,7 +36,7 @@ func firstRound(t *testing.T, spec string) (*roundSearch, [][]Label) {
 	}
 	opts := Options{Workers: 1}
 	opts.fill()
-	rep := core.NewAnalyzerN(g, 1).CheckGraph()
+	rep := core.NewAnalyzer(g).CheckGraph()
 	confl := mcConflicts(g, rep)
 	name := freshSignalName(g, 0)
 	var hot []string
@@ -164,7 +164,7 @@ func TestScoreAllocations(t *testing.T) {
 func TestScoredCandidatesCountMatchesCheckGraph(t *testing.T) {
 	cands, hot := roundCandidates(t)
 	for _, g := range cands {
-		want := len(core.NewAnalyzerN(g, 1).CheckGraph().Violations())
+		want := len(core.NewAnalyzer(g).CheckGraph().Violations())
 		ix := sg.NewIndex(g)
 		if got := core.NewAnalyzerLazy(ix).CountViolationsBudget(0, hot...); got != want {
 			t.Fatalf("count %d, CheckGraph %d violations on\n%s", got, want, g.Dump())
@@ -187,7 +187,7 @@ func TestScoredCandidatesFindMCMatchesSubsetSearch(t *testing.T) {
 	cands, _ := roundCandidates(t)
 	searched, repaired := 0, 0
 	for _, g := range cands {
-		a := core.NewAnalyzerN(g, 1)
+		a := core.NewAnalyzer(g)
 		for sig := range g.Signals {
 			if g.Input[sig] {
 				continue

@@ -182,7 +182,7 @@ func (e *Explicit) Analyze(n *stg.STG) (*Analysis, error) {
 		}
 		return out
 	}
-	a := core.NewAnalyzerN(g, 1)
+	a := core.NewAnalyzer(g)
 	for sig := range g.Signals {
 		regs := a.Regs[sig]
 		if e.Opts.Fingerprint {

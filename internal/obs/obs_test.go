@@ -59,9 +59,9 @@ func TestRegistryPrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("stg_reach_states_total").Add(41)
 	r.Counter("stg_reach_states_total").Add(1)
-	r.Counter("par_tasks_total", "pool", "core.regions").Add(9)
-	r.Gauge("par_pool_size", "pool", "core.regions").Set(4)
-	h := r.Histogram("par_task_seconds", []float64{0.001, 0.01}, "pool", "core.regions")
+	r.Counter("par_tasks_total", "pool", "encode.score").Add(9)
+	r.Gauge("bdd_nodes", "scope", "stg_space").Set(4)
+	h := r.Histogram("par_task_seconds", []float64{0.001, 0.01}, "pool", "encode.score")
 	h.Observe(0.0005)
 	h.Observe(0.005)
 	h.Observe(5)
@@ -74,12 +74,12 @@ func TestRegistryPrometheus(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE stg_reach_states_total counter",
 		"stg_reach_states_total 42",
-		`par_tasks_total{pool="core.regions"} 9`,
-		`par_pool_size{pool="core.regions"} 4`,
-		`par_task_seconds_bucket{pool="core.regions",le="0.001"} 1`,
-		`par_task_seconds_bucket{pool="core.regions",le="0.01"} 2`,
-		`par_task_seconds_bucket{pool="core.regions",le="+Inf"} 3`,
-		`par_task_seconds_count{pool="core.regions"} 3`,
+		`par_tasks_total{pool="encode.score"} 9`,
+		`bdd_nodes{scope="stg_space"} 4`,
+		`par_task_seconds_bucket{pool="encode.score",le="0.001"} 1`,
+		`par_task_seconds_bucket{pool="encode.score",le="0.01"} 2`,
+		`par_task_seconds_bucket{pool="encode.score",le="+Inf"} 3`,
+		`par_task_seconds_count{pool="encode.score"} 3`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
@@ -98,8 +98,8 @@ func TestRegistryPrometheus(t *testing.T) {
 	if snap["stg_reach_states_total"] != 42 {
 		t.Errorf("snapshot counter = %v", snap["stg_reach_states_total"])
 	}
-	if snap[`par_task_seconds_count{pool="core.regions"}`] != 3 {
-		t.Errorf("snapshot histogram count = %v", snap[`par_task_seconds_count{pool="core.regions"}`])
+	if snap[`par_task_seconds_count{pool="encode.score"}`] != 3 {
+		t.Errorf("snapshot histogram count = %v", snap[`par_task_seconds_count{pool="encode.score"}`])
 	}
 }
 
@@ -193,7 +193,7 @@ func TestChromeTraceFormat(t *testing.T) {
 	tr := NewTracer()
 	sp := tr.Start("parse", A("spec", "x"))
 	sp.End()
-	tr.Event("core.regions", 100, time.Now(), 2*time.Millisecond, A("task", 0))
+	tr.Event("encode.score", 100, time.Now(), 2*time.Millisecond, A("task", 0))
 
 	var b strings.Builder
 	if err := tr.WriteChromeTrace(&b); err != nil {
@@ -240,7 +240,7 @@ func TestTaskHookRecords(t *testing.T) {
 	Enable(o)
 	defer Enable(nil)
 
-	hook := TaskHook("core.regions")
+	hook := TaskHook("encode.score")
 	if hook == nil {
 		t.Fatal("TaskHook nil while enabled")
 	}
@@ -248,7 +248,7 @@ func TestTaskHookRecords(t *testing.T) {
 	hook(3, 1, start, 5*time.Millisecond)
 	hook(4, 0, start, time.Millisecond)
 
-	if got := o.Metrics.Counter("par_tasks_total", "pool", "core.regions").Value(); got != 2 {
+	if got := o.Metrics.Counter("par_tasks_total", "pool", "encode.score").Value(); got != 2 {
 		t.Errorf("par_tasks_total = %d, want 2", got)
 	}
 	recs := o.Tracer.Records()
@@ -270,7 +270,7 @@ func TestBuildRunReport(t *testing.T) {
 	inner := o.Tracer.Start("verify.inner")
 	inner.End()
 	sp.End()
-	o.Tracer.Event("core.regions", 100, time.Now(), time.Millisecond)
+	o.Tracer.Event("encode.score", 100, time.Now(), time.Millisecond)
 
 	rep := o.BuildRunReport("x", mark, base)
 	if len(rep.Stages) != 1 || rep.Stages[0].Name != "verify" {

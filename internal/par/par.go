@@ -1,8 +1,8 @@
-// Package par is the bounded worker pool shared by the analysis and
-// benchmark fan-outs: embarrassingly-parallel loops (per-signal region
-// decomposition, per-signal MC checking, per-benchmark synthesis) run on
-// up to GOMAXPROCS goroutines while callers keep deterministic output by
-// writing results into index-addressed slots.
+// Package par is the bounded worker pool shared by the repair and
+// benchmark fan-outs: embarrassingly-parallel loops (repair's candidate
+// scoring, per-benchmark synthesis) run on up to GOMAXPROCS goroutines
+// while callers keep deterministic output by writing results into
+// index-addressed slots.
 //
 // Two pool shapes live here. ForEach is the batch fan-out: a known task
 // count, drained to completion, panic re-raised on the caller. Pool is

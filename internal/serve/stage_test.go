@@ -140,3 +140,55 @@ func TestConcurrentRepairConfigsShareAnalysis(t *testing.T) {
 		}
 	}
 }
+
+// The four netlist configs of one repair entry run at once, so their
+// cover derivations share the entry's MC report and its analyzer (run
+// under -race): netlist configs sharing one entry need no lock. Each
+// netlist must match a direct synthesis with the same configuration,
+// for a spec whose final analyzer is round 0's, built over the cached
+// region table, and for one whose final analyzer comes from a later
+// round.
+func TestConcurrentNetlistConfigsShareRepair(t *testing.T) {
+	for _, name := range []string{"mp-forward-pkt", "nak-pa"} {
+		e, ok := benchdata.Table1ByName(name)
+		if !ok {
+			t.Fatalf("no Table-1 entry %s", name)
+		}
+		s := newTestServer(t, Options{})
+		const maxModels = 64
+		if res, _ := s.synthesize("", e.Source, Config{MaxModels: maxModels}, nil); !res.OK {
+			t.Fatalf("%s: priming run failed: %s", name, res.Verdict)
+		}
+		configs := []Config{
+			{MaxModels: maxModels},
+			{MaxModels: maxModels, RS: true},
+			{MaxModels: maxModels, Share: true},
+			{MaxModels: maxModels, RS: true, Share: true},
+		}
+		results := make([]*Result, len(configs))
+		var wg sync.WaitGroup
+		for i, cfg := range configs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[i], _ = s.synthesize("", e.Source, cfg, nil)
+			}()
+		}
+		wg.Wait()
+		if n := s.computes["repair"].Value(); n != 1 {
+			t.Errorf("%s: repair computed %d times, want 1", name, n)
+		}
+		if n := s.computes["netlist"].Value(); n != 4 {
+			t.Errorf("%s: netlist computed %d times, want 4", name, n)
+		}
+		for i, cfg := range configs {
+			ref, err := synth.FromSTGSource(e.Source, synth.Options{RS: cfg.RS, Share: cfg.Share, Repair: encode.Options{MaxModels: cfg.MaxModels}})
+			if err != nil {
+				t.Fatalf("%s %+v: reference synthesis: %v", name, cfg, err)
+			}
+			if got := results[i]; !got.OK || got.Netlist != ref.Netlist.String() {
+				t.Errorf("%s %+v: served netlist (ok=%v)\n%s\nwant\n%s", name, cfg, got.OK, got.Netlist, ref.Netlist)
+			}
+		}
+	}
+}
