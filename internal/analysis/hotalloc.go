@@ -33,10 +33,10 @@ const (
 // marker: the four engines whose per-iteration behaviour the benchmark
 // pipeline tracks. Tests may override this to point at fixtures.
 var RequiredHotpaths = map[string][]string{
-	"repro/internal/stg":    {"explore"},              // reachability token game
-	"repro/internal/verify": {"CheckLimit"},           // composed-state exploration
-	"repro/internal/core":   {"Analyzer.checkMCFast"}, // candidate-search MC verdicts
-	"repro/internal/sat":    {"Solver.propagate"},     // unit propagation
+	"repro/internal/stg":    {"explore"},                 // reachability token game
+	"repro/internal/verify": {"CheckLimit"},              // composed-state exploration
+	"repro/internal/core":   {"Analyzer.dropKeepsCover"}, // cover-shrinking MC verdicts
+	"repro/internal/sat":    {"Solver.propagate"},        // unit propagation
 }
 
 func runHotAlloc(pass *lint.Pass) error {

@@ -446,15 +446,6 @@ func targetOf(er *sg.Region, cfr sg.StateSet) target {
 	return target{regions: []cfrOf{{er, cfr}}, union: cfr}
 }
 
-// checkMCFast reports whether m, which must cover every region of t
-// (any enlargement of a cover does), also meets conditions (2) and
-// (3): the verdict on every literal drop shrink tries.
-//
-//reprolint:hotpath
-func (a *Analyzer) checkMCFast(t *target, m mask) bool {
-	return a.firstRise(t, m) < 0 && a.outside(t.union, m, 0) < 0
-}
-
 // firstRise returns the source of a rising edge of m inside one of t's
 // CFRs (a condition-(2) failure), or -1 when m rises in none.
 func (a *Analyzer) firstRise(t *target, m mask) int {
@@ -503,8 +494,8 @@ func (a *Analyzer) shrink(t *target, m mask) mask {
 	for {
 		dropped := false
 		for l := m.care; l != 0; l &= l - 1 {
-			if cand := m.drop(l & -l); a.checkMCFast(t, cand) {
-				m = cand
+			if lit := l & -l; a.dropKeepsCover(t, m, lit) {
+				m = m.drop(lit)
 				dropped = true
 			}
 		}
@@ -512,6 +503,40 @@ func (a *Analyzer) shrink(t *target, m mask) mask {
 			return m
 		}
 	}
+}
+
+// dropKeepsCover reports whether m, a cover of t, stays one without its
+// literal lit: the verdict on every literal drop shrink tries. The drop
+// newly covers the states that m with lit inverted covers, and only
+// those can break the cover. m covers nothing outside t's CFRs, so a
+// newly covered state outside them fails condition (3). m rises inside
+// no CFR and the drop uncovers no state, so a rising edge u → v after
+// the drop, u uncovered, has v newly covered: a newly covered state
+// with an uncovered predecessor in one of its CFRs fails condition (2).
+//
+//reprolint:hotpath
+func (a *Analyzer) dropKeepsCover(t *target, m mask, lit uint64) bool {
+	cand, fresh := m.drop(lit), mask{m.care, m.val ^ lit}
+	states := a.G.States
+	for v := range states {
+		if !fresh.covers(states[v].Code) {
+			continue
+		}
+		if !t.union.Has(v) {
+			return false
+		}
+		for _, r := range t.regions {
+			if !r.cfr.Has(v) {
+				continue
+			}
+			for _, e := range states[v].Pred {
+				if r.cfr.Has(e.To) && !cand.covers(states[e.To].Code) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // FindMC searches for a monotonous cover cube for er. The canonical

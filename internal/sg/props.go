@@ -1,9 +1,10 @@
 package sg
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -117,32 +118,42 @@ func (g *Graph) Detonants(outputsOnly bool) []Detonant {
 	return NewIndex(g).Detonants(outputsOnly)
 }
 
-// Detonants is the index-backed form of the graph method.
+// Detonants is the index-backed form of the graph method. It first
+// folds each state's successors into the signals stable in the state
+// and excited in one successor (once) or in two or more (twice); only
+// the signals in twice can make the state detonant, so the pair loop
+// runs for those alone.
 func (ix *Index) Detonants(outputsOnly bool) []Detonant {
 	g := ix.G
+	consider := ^uint64(0)
+	if outputsOnly {
+		for sig, in := range g.Input {
+			if in {
+				consider &^= 1 << uint(sig)
+			}
+		}
+	}
 	var out []Detonant
 	for w := range g.States {
 		succ := g.States[w].Succ
-		for sig := range g.Signals {
-			if outputsOnly && g.Input[sig] {
-				continue
-			}
+		var once, twice uint64
+		for _, e := range succ {
+			m := ix.excited[e.To] &^ ix.excited[w] & consider
+			twice |= once & m
+			once |= m
+		}
+		for ; twice != 0; twice &= twice - 1 {
+			sig := bits.TrailingZeros64(twice)
 			bit := uint64(1) << uint(sig)
-			if ix.excited[w]&bit != 0 {
-				continue
-			}
-			var hits []Edge
-			for _, e := range succ {
-				if e.Signal != sig && ix.excited[e.To]&bit != 0 {
-					hits = append(hits, e)
+			for i, u := range succ {
+				if ix.excited[u.To]&bit == 0 {
+					continue
 				}
-			}
-			for i := 0; i < len(hits); i++ {
-				for j := i + 1; j < len(hits); j++ {
+				for _, v := range succ[i+1:] {
 					// Concurrent divergence: each branch keeps the other
 					// transition enabled.
-					if ix.Excited(hits[i].To, hits[j].Signal) && ix.Excited(hits[j].To, hits[i].Signal) {
-						out = append(out, Detonant{State: w, Signal: sig, U: hits[i].To, V: hits[j].To})
+					if ix.excited[v.To]&bit != 0 && ix.Excited(u.To, v.Signal) && ix.Excited(v.To, u.Signal) {
+						out = append(out, Detonant{State: w, Signal: sig, U: u.To, V: v.To})
 					}
 				}
 			}
@@ -175,25 +186,20 @@ func (g *Graph) CSCViolations() []CSCViolation {
 	return NewIndex(g).CSCViolations()
 }
 
-// CSCViolations is the index-backed form of the graph method.
+// CSCViolations is the index-backed form of the graph method. Pairs
+// come by ascending code, then by state: only the shared codes are
+// sorted, and a code's states are listed in state order.
 func (ix *Index) CSCViolations() []CSCViolation {
-	g := ix.G
-	byCode := make(map[uint64][]int)
-	for s := range g.States {
-		byCode[g.States[s].Code] = append(byCode[g.States[s].Code], s)
-	}
+	g, ct := ix.G, groupCodes(ix.G)
+	slices.SortFunc(ct.shared, func(a, b int32) int {
+		return cmp.Compare(g.States[ct.slots[a]-1].Code, g.States[ct.slots[b]-1].Code)
+	})
 	var out []CSCViolation
-	codes := make([]uint64, 0, len(byCode))
-	for c := range byCode { //reprolint:ordered keys collected then sorted on the next line
-		codes = append(codes, c)
-	}
-	sort.Slice(codes, func(i, j int) bool { return codes[i] < codes[j] })
-	for _, c := range codes {
-		states := byCode[c]
-		for i := 0; i < len(states); i++ {
-			for j := i + 1; j < len(states); j++ {
-				if ix.excOut[states[i]] != ix.excOut[states[j]] {
-					out = append(out, CSCViolation{A: states[i], B: states[j]})
+	for _, slot := range ct.shared {
+		for a := ct.slots[slot] - 1; a >= 0; a = ct.next[a] {
+			for b := ct.next[a]; b >= 0; b = ct.next[b] {
+				if ix.excOut[a] != ix.excOut[b] {
+					out = append(out, CSCViolation{A: int(a), B: int(b)})
 				}
 			}
 		}
@@ -206,15 +212,58 @@ func (g *Graph) CSC() bool { return len(g.CSCViolations()) == 0 }
 
 // USC reports whether all state codes are unique (Unique State Coding,
 // strictly stronger than CSC).
-func (g *Graph) USC() bool {
-	seen := make(map[uint64]bool, len(g.States))
-	for s := range g.States {
-		if seen[g.States[s].Code] {
-			return false
+func (g *Graph) USC() bool { return len(groupCodes(g).shared) == 0 }
+
+// coding reports both state-coding verdicts from one grouping of the
+// states by code: CSC, no two states of one code differ in their
+// excited non-input signals, and USC, no two states share a code.
+func (ix *Index) coding() (csc, usc bool) {
+	ct := groupCodes(ix.G)
+	csc = true
+	for _, slot := range ct.shared {
+		head := ct.slots[slot] - 1
+		for s := ct.next[head]; s >= 0 && csc; s = ct.next[s] {
+			csc = ix.excOut[s] == ix.excOut[head]
 		}
-		seen[g.States[s].Code] = true
 	}
-	return true
+	return csc, len(ct.shared) == 0
+}
+
+// codeTable groups a graph's states by code. slots is an open-addressed
+// table over the distinct codes holding each code's lowest state plus
+// one (0 marks an empty slot); next[s] is the next state after s with
+// s's code, or -1; shared lists the slots of the codes two or more
+// states share, in no particular order.
+type codeTable struct {
+	slots, next []int32
+	shared      []int32
+}
+
+// groupCodes builds g's code table in one allocation, unless codes are
+// shared. It inserts the states from the last to the first, so each
+// insertion prepends to its code's list and every list runs in state
+// order.
+func groupCodes(g *Graph) codeTable {
+	n := len(g.States)
+	logSize := bits.Len(uint(2 * n)) // at most half the slots fill
+	size := 1 << logSize
+	buf := make([]int32, size+n)
+	ct := codeTable{slots: buf[:size:size], next: buf[size:]}
+	mask := uint64(size - 1)
+	for s := n - 1; s >= 0; s-- {
+		code := g.States[s].Code
+		i := code * 0x9e3779b97f4a7c15 >> uint(64-logSize) // the product's top bits
+		for ct.slots[i] != 0 && g.States[ct.slots[i]-1].Code != code {
+			i = (i + 1) & mask
+		}
+		head := ct.slots[i] - 1
+		if head >= 0 && ct.next[head] < 0 {
+			ct.shared = append(ct.shared, int32(i))
+		}
+		ct.next[s] = head
+		ct.slots[i] = int32(s) + 1
+	}
+	return ct
 }
 
 // PropertyReport summarizes all specification-level checks for one graph.
@@ -248,12 +297,11 @@ func (t *RegionTable) Check() PropertyReport {
 	rep := PropertyReport{
 		Consistent:    g.CheckConsistency() == nil,
 		Persistent:    len(t.PersistencyViolations()) == 0,
-		CSC:           len(ix.CSCViolations()) == 0,
-		USC:           g.USC(),
 		Detonants:     len(dets),
 		States:        len(g.States),
 		UniqueEntryOK: true,
 	}
+	rep.CSC, rep.USC = ix.coding()
 	rep.SemiModular = len(conf) == 0
 	internal := 0
 	for _, c := range conf {

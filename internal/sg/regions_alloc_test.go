@@ -34,6 +34,21 @@ func TestRegionsOfAllocationSizedToRegions(t *testing.T) {
 	}
 }
 
+// The property report groups states by code in one table and folds
+// each state's successors into masks before any detonant pair is
+// tested, so on an 8,192-state graph it allocates a small constant, not
+// per state.
+func TestCheckAllocationCount(t *testing.T) {
+	g, err := stg.BuildSG(benchdata.GenParallelizer(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := sg.NewRegionTable(g)
+	if n := testing.AllocsPerRun(3, func() { tab.Check() }); n > 64 {
+		t.Fatalf("Check on fork12 makes %.0f allocations, want ≤ 64", n)
+	}
+}
+
 // Repair scoring decomposes every scanned signal of every candidate
 // graph, so the allocation count per call must stay a small constant.
 func TestRegionsOfAllocationCount(t *testing.T) {

@@ -2,6 +2,7 @@ package stg
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/obs"
 	"repro/internal/sg"
@@ -396,34 +397,31 @@ func checkBuildable(n *STG) error {
 }
 
 // assembleSG infers a consistent binary signal encoding over the
-// explored states and builds the state graph. The propagation fixpoint
-// runs over a flat value matrix and a counting-sorted edge index —
-// assembly performs a constant number of allocations regardless of the
-// state count, and the per-edge inner loop is branch-light direct
-// indexing. Observable behaviour (error ordering included) matches the
-// per-state adjacency-list original bit for bit.
+// explored states and builds the state graph. Each state holds its
+// partial encoding in two words, known and one: bit i of known says
+// signal i's value is inferred, bit i of one is that value. A transition
+// pins its own signal before and after it fires; every other signal
+// keeps its value along an edge, so a value known at one end is copied
+// to the other. The fixpoint sweeps the states in order and each
+// state's edges in discovery order, deciding all signals of an edge in
+// a few word operations; a conflict reports its lowest signal, the one
+// a signal-by-signal loop over the same sweep would meet first. The
+// adjacency is a counting-sorted edge index, so assembly performs a
+// constant number of allocations regardless of the state count.
 func assembleSG(n *STG, nstates int, edges []sgEdge) (*sg.Graph, error) {
-	// Infer signal values. val[s*nsig+sig] ∈ {unknown, zero, one}.
-	const (
-		unknown int8 = iota
-		zero
-		one
-	)
 	nsig := len(n.Signals)
-	val := make([]int8, nstates*nsig)
+	words := make([]uint64, 2*nstates)
+	known, one := words[:nstates], words[nstates:]
 
-	// Per-transition inference constants: the signal, its value after the
-	// transition fires, and the complementary value it must hold before.
+	// Per-transition constants: the signal's bit, and that bit when the
+	// signal is 1 after the transition fires (so 1 before it when 0).
 	nt := len(n.Trans)
-	trSig := make([]int32, nt)
-	trAfter := make([]int8, nt)
-	trBefore := make([]int8, nt)
+	trWords := make([]uint64, 2*nt)
+	trBit, trAfter := trWords[:nt], trWords[nt:]
 	for t, tr := range n.Trans {
-		trSig[t] = int32(tr.Signal)
+		trBit[t] = 1 << uint(tr.Signal)
 		if tr.Dir == Plus {
-			trAfter[t], trBefore[t] = one, zero
-		} else {
-			trAfter[t], trBefore[t] = zero, one
+			trAfter[t] = trBit[t]
 		}
 	}
 
@@ -444,73 +442,56 @@ func assembleSG(n *STG, nstates int, edges []sgEdge) (*sg.Graph, error) {
 		fill[e.from]++
 	}
 
-	inconsistent := func(sig int) error {
-		return fmt.Errorf("stg: inconsistent state assignment for signal %s", n.Signals[sig])
+	inconsistent := func(conflict uint64) error {
+		return fmt.Errorf("stg: inconsistent state assignment for signal %s", n.Signals[bits.TrailingZeros64(conflict)])
 	}
 
 	// Seed: an enabled a+ pins a=0, an enabled a- pins a=1.
 	for s := 0; s < nstates; s++ {
-		row := val[s*nsig : s*nsig+nsig]
 		for _, ei := range eidx[start[s]:start[s+1]] {
 			t := edges[ei].trans
-			sig := trSig[t]
-			if cur := row[sig]; cur == unknown {
-				row[sig] = trBefore[t]
-			} else if cur != trBefore[t] {
-				return nil, inconsistent(int(sig))
+			bit, before := trBit[t], trBit[t]&^trAfter[t]
+			if known[s]&bit != 0 && (one[s]^before)&bit != 0 {
+				return nil, inconsistent(bit)
 			}
+			known[s] |= bit
+			one[s] |= before
 		}
 	}
-	// Propagate along edges in both directions until fixpoint. The
-	// before-value assignment deliberately does not raise changed — the
-	// original converged that way, and the fixpoint must be identical.
+	// Propagate along edges in both directions until fixpoint. The seed
+	// pinned every edge's signal at its source, so an edge s → t carries
+	// s's values with its own signal replaced by the after-value: those
+	// move forward to t, and t's other known values move back to s.
+	// Only newly inferred values raise changed, so the sweep count, and
+	// with it the first conflict met, is the signal-by-signal loop's.
 	changed := true
 	for changed {
 		changed = false
 		for s := 0; s < nstates; s++ {
-			vs := val[s*nsig : s*nsig+nsig]
 			for _, ei := range eidx[start[s]:start[s+1]] {
 				e := edges[ei]
-				tsig := int(trSig[e.trans])
-				vt := val[e.to*nsig : e.to*nsig+nsig]
-				for sig := 0; sig < nsig; sig++ {
-					if sig == tsig {
-						after := trAfter[e.trans]
-						if vt[sig] == unknown {
-							vt[sig] = after
-							changed = true
-						} else if vt[sig] != after {
-							return nil, inconsistent(sig)
-						}
-						// Before firing a±, a has the complementary value.
-						if before := trBefore[e.trans]; vs[sig] == unknown {
-							vs[sig] = before
-						} else if vs[sig] != before {
-							return nil, inconsistent(sig)
-						}
-						continue
-					}
-					if f := vs[sig]; f != unknown {
-						if vt[sig] == unknown {
-							vt[sig] = f
-							changed = true
-						} else if vt[sig] != f {
-							return nil, inconsistent(sig)
-						}
-					} else if b := vt[sig]; b != unknown {
-						// Backward: value at destination implies value at
-						// source for unrelated signals.
-						vs[sig] = b
-						changed = true
-					}
+				bit := trBit[e.trans]
+				carried := known[s] | bit
+				val := one[s]&^bit | trAfter[e.trans]
+				kt := known[e.to]
+				if conflict := carried & kt & (val ^ one[e.to]); conflict != 0 {
+					return nil, inconsistent(conflict)
+				}
+				if fwd := carried &^ kt; fwd != 0 {
+					known[e.to] |= fwd
+					one[e.to] |= val & fwd
+					changed = true
+				}
+				if back := kt &^ carried; back != 0 {
+					known[s] |= back
+					one[s] |= one[e.to] & back
+					changed = true
 				}
 			}
 		}
 	}
-	for sig := 0; sig < nsig; sig++ {
-		if val[sig] == unknown {
-			return nil, fmt.Errorf("stg: signal %s never fires; cannot infer its value", n.Signals[sig])
-		}
+	if unknown := (uint64(1)<<uint(nsig) - 1) &^ known[0]; unknown != 0 {
+		return nil, fmt.Errorf("stg: signal %s never fires; cannot infer its value", n.Signals[bits.TrailingZeros64(unknown)])
 	}
 
 	g := &sg.Graph{
@@ -524,14 +505,7 @@ func assembleSG(n *STG, nstates int, edges []sgEdge) (*sg.Graph, error) {
 	}
 	g.States = make([]sg.State, 0, nstates)
 	for s := 0; s < nstates; s++ {
-		row := val[s*nsig : s*nsig+nsig]
-		var code uint64
-		for sig := 0; sig < nsig; sig++ {
-			if row[sig] == one {
-				code |= 1 << uint(sig)
-			}
-		}
-		g.AddState(code)
+		g.AddState(one[s])
 	}
 	// Pre-size every adjacency list out of two flat buffers: AddEdge then
 	// appends in place. States without edges keep nil lists, exactly as
