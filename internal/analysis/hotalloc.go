@@ -30,10 +30,11 @@ const (
 
 // RequiredHotpaths names the functions (package path → display names,
 // methods as "Recv.Name") that must carry the //reprolint:hotpath
-// marker: the four engines whose per-iteration behaviour the benchmark
+// marker: the five engines whose per-iteration behaviour the benchmark
 // pipeline tracks. Tests may override this to point at fixtures.
 var RequiredHotpaths = map[string][]string{
 	"repro/internal/stg":    {"explore"},                 // reachability token game
+	"repro/internal/sg":     {"Index.labelRegions"},      // every signal's region labels
 	"repro/internal/verify": {"CheckLimit"},              // composed-state exploration
 	"repro/internal/core":   {"Analyzer.dropKeepsCover"}, // cover-shrinking MC verdicts
 	"repro/internal/sat":    {"Solver.propagate"},        // unit propagation

@@ -60,6 +60,49 @@ func (ix *Index) Conflicts() []Conflict {
 	return out
 }
 
+// conflictCounts counts the conflicts Conflicts lists, split into
+// input and internal ones, without listing them. Firing b along w → u
+// disables the signals exc[w] &^ bit(b) &^ exc[u]; Conflicts lists one
+// conflict per edge of w carrying a disabled signal, so at a state
+// whose edges carry some signal twice the edges are counted one by
+// one, and elsewhere a popcount per input and non-input half suffices.
+func (ix *Index) conflictCounts() (input, internal int) {
+	g := ix.G
+	var inputs uint64
+	for sig, in := range g.Input {
+		if in {
+			inputs |= 1 << uint(sig)
+		}
+	}
+	for w := range g.States {
+		succ := g.States[w].Succ
+		var once, twice uint64
+		for _, e := range succ {
+			bit := uint64(1) << uint(e.Signal)
+			twice |= once & bit
+			once |= bit
+		}
+		for _, eb := range succ {
+			off := ix.excited[w] &^ (1 << uint(eb.Signal)) &^ ix.excited[eb.To]
+			if off&twice == 0 {
+				input += bits.OnesCount64(off & inputs)
+				internal += bits.OnesCount64(off &^ inputs)
+				continue
+			}
+			for _, ea := range succ {
+				if off>>uint(ea.Signal)&1 == 1 {
+					if inputs>>uint(ea.Signal)&1 == 1 {
+						input++
+					} else {
+						internal++
+					}
+				}
+			}
+		}
+	}
+	return input, internal
+}
+
 // SemiModular reports whether the graph has no conflict state at all
 // (Definition 2 with respect to every reachable state).
 func (g *Graph) SemiModular() bool { return len(g.Conflicts()) == 0 }
@@ -292,7 +335,7 @@ func (g *Graph) Check() PropertyReport {
 // persistency and unique entry off the table's regions.
 func (t *RegionTable) Check() PropertyReport {
 	ix, g := t.Idx, t.Idx.G
-	conf := ix.Conflicts()
+	inputConf, internal := ix.conflictCounts()
 	dets := ix.Detonants(false)
 	rep := PropertyReport{
 		Consistent:    g.CheckConsistency() == nil,
@@ -302,15 +345,9 @@ func (t *RegionTable) Check() PropertyReport {
 		UniqueEntryOK: true,
 	}
 	rep.CSC, rep.USC = ix.coding()
-	rep.SemiModular = len(conf) == 0
-	internal := 0
-	for _, c := range conf {
-		if c.Internal {
-			internal++
-		}
-	}
+	rep.SemiModular = inputConf+internal == 0
 	rep.InternalConflicts = internal
-	rep.InputConflicts = len(conf) - internal
+	rep.InputConflicts = inputConf
 	rep.OutputSemiModular = internal == 0
 	rep.Distributive = rep.SemiModular && rep.Detonants == 0
 	// Detonants(true) is the non-input subset of dets.

@@ -86,6 +86,32 @@ func refDetonants(ix *sg.Index, outputsOnly bool) []sg.Detonant {
 	return out
 }
 
+// refPersistencyViolations lists each non-input excitation region's
+// trigger signals through Triggers, in trigger order, once each, and
+// tests each with Concurrent.
+func refPersistencyViolations(tab *sg.RegionTable) []sg.PersistencyViolation {
+	g := tab.Idx.G
+	var out []sg.PersistencyViolation
+	for sig, regs := range tab.Regs {
+		if g.Input[sig] {
+			continue
+		}
+		for _, er := range regs.ER {
+			seen := map[int]bool{}
+			for _, tr := range g.Triggers(er) {
+				if seen[tr.Signal] {
+					continue
+				}
+				seen[tr.Signal] = true
+				if g.Concurrent(er, tr.Signal) {
+					out = append(out, sg.PersistencyViolation{Region: er, Trigger: tr.Signal})
+				}
+			}
+		}
+	}
+	return out
+}
+
 // refCheck is the property report assembled from the reference checks.
 func refCheck(tab *sg.RegionTable) sg.PropertyReport {
 	ix, g := tab.Idx, tab.Idx.G
@@ -93,7 +119,7 @@ func refCheck(tab *sg.RegionTable) sg.PropertyReport {
 	dets := refDetonants(ix, false)
 	rep := sg.PropertyReport{
 		Consistent:    g.CheckConsistency() == nil,
-		Persistent:    len(tab.PersistencyViolations()) == 0,
+		Persistent:    len(refPersistencyViolations(tab)) == 0,
 		CSC:           len(refCSCViolations(ix)) == 0,
 		USC:           refUSC(g),
 		Detonants:     len(dets),
@@ -143,10 +169,49 @@ func randomCubeGraph(rng *rand.Rand, k int) *sg.Graph {
 	}
 	rng.Shuffle(len(codes), func(i, j int) { codes[i], codes[j] = codes[j], codes[i] })
 	edgeP := 0.5 + 0.5*rng.Float64()
+	return cubeGraph(k, codes, func() bool { return rng.Float64() < edgeP })
+}
+
+// cubeGraphFromBytes is a consistent graph over the k-cube chosen by
+// data: its first byte picks k from 3 to 7, and the rest, read bit by
+// bit and cyclically (all ones when empty), keeps each code, doubles
+// some of the kept ones and keeps each single-bit edge.
+func cubeGraphFromBytes(data []byte) *sg.Graph {
+	k := 3
+	if len(data) > 0 {
+		k += int(data[0]) % 5
+		data = data[1:]
+	}
+	pos := 0
+	next := func() bool {
+		if len(data) == 0 {
+			return true
+		}
+		b := data[pos/8%len(data)]>>uint(pos%8)&1 == 1
+		pos++
+		return b
+	}
+	var codes []uint64
+	for c := uint64(0); c < 1<<uint(k); c++ {
+		if next() {
+			codes = append(codes, c)
+			if next() && next() {
+				codes = append(codes, c)
+			}
+		}
+	}
+	return cubeGraph(k, codes, next)
+}
+
+// cubeGraph builds the graph over states with the given codes whose
+// edges are the single-bit steps between two states that keepEdge
+// accepts, asked once per such ordered pair, restricted to the states
+// reachable from the first. The last signal is an input.
+func cubeGraph(k int, codes []uint64, keepEdge func() bool) *sg.Graph {
 	succ := make([][]int, len(codes))
 	for u := range codes {
 		for v := range codes {
-			if d := codes[u] ^ codes[v]; d != 0 && d&(d-1) == 0 && rng.Float64() < edgeP {
+			if d := codes[u] ^ codes[v]; d != 0 && d&(d-1) == 0 && keepEdge() {
 				succ[u] = append(succ[u], v)
 			}
 		}
@@ -200,6 +265,9 @@ func checkAgainstReference(t *testing.T, name string, g *sg.Graph) int {
 		if got, want := ix.Detonants(outputsOnly), refDetonants(ix, outputsOnly); !slices.Equal(got, want) {
 			t.Fatalf("%s: detonants (outputs only %v) %v, reference %v", name, outputsOnly, got, want)
 		}
+	}
+	if got, want := tab.PersistencyViolations(), refPersistencyViolations(tab); !slices.Equal(got, want) {
+		t.Fatalf("%s: persistency violations %v, reference %v", name, got, want)
 	}
 	got, want := tab.Check(), refCheck(tab)
 	if !reflect.DeepEqual(got, want) || got.String() != want.String() {

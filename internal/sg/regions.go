@@ -1,6 +1,9 @@
 package sg
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Region is a maximal connected set of states associated with one
 // transition occurrence of a signal: an excitation region ER(*a_i)
@@ -116,20 +119,16 @@ func carve[T any](buf *[]T, n int) []T {
 
 // RegionsIn is RegionsOf with its memory carved from ar; the result is
 // valid until ar's next Reset. A nil ar stands for a fresh arena of the
-// call's own, from which each of the six pieces below is carved once,
-// to its exact size.
+// call's own, from which each of the six pieces (here and in assemble)
+// is carved once, to its exact size.
 //
 // Every state gets a component label in one array: first the inverted
 // class (^c, negative), then, by a DFS over the class's own edges, the
 // region number in discovery order (ascending by each component's
-// least state, classes in region order). Only then, with the region
-// count known, are the region structs and their bitsets allocated, one
-// ⌈n/64⌉-word set per region; and one backward pass over the states
-// buckets each state into its region (a counting sort by label), so
-// every region's States and Min come out ascending without a sort.
-// Without an arena a call makes a constant six allocations whatever the
-// graph's size, each sized to what it holds; with one, once the arena
-// has grown, none.
+// least state, classes in region order). assemble then builds the
+// regions from the labels. Without an arena a call makes a constant six
+// allocations whatever the graph's size, each sized to what it holds;
+// with one, once the arena has grown, none.
 func (ix *Index) RegionsIn(sig int, ar *RegionArena) *Regions {
 	if ar == nil {
 		ar = new(RegionArena)
@@ -184,7 +183,25 @@ func (ix *Index) RegionsIn(sig int, ar *RegionArena) *Regions {
 		}
 	}
 	start[4] = tot
-	ne := start[2]
+	return assemble(ix, sig, label, &start, ints[n:2*n:2*n], ints[2*n:2*n:3*n], nil, ar)
+}
+
+// assemble builds signal sig's decomposition from a labelling of the
+// graph's states: label[s] is the number of s's region, the regions of
+// class c numbered from start[c] up in the order of their least states
+// (start[4] is the region count). It carves the region structs, their
+// pointers and one ⌈n/64⌉-word set per region from ar, so a signal
+// with four regions costs four sets, not n+2. One backward pass over
+// the states buckets each into its region (a counting sort by label),
+// writing the regions' States into states, one slot per state, so they
+// come out ascending without a sort. The regions' Min lists are
+// appended to minBuf, which has room for them: bit sig of minMask[s]
+// marks s minimal when minMask is not nil, and otherwise s's
+// predecessors are scanned for one in its region.
+func assemble[L int | int32](ix *Index, sig int, label []L, start *[5]int, states, minBuf []int, minMask []uint64, ar *RegionArena) *Regions {
+	g := ix.G
+	n := len(label)
+	tot, ne := start[4], start[2]
 
 	// Counting sort by label, in ascending state order: end[k] first
 	// counts region k, then becomes its end offset in states.
@@ -198,9 +215,8 @@ func (ix *Index) RegionsIn(sig int, ar *RegionArena) *Regions {
 	for k := 1; k < tot; k++ {
 		end[k] += end[k-1]
 	}
-	states := ints[n : 2*n : 2*n]
 	for s := n - 1; s >= 0; s-- {
-		k := label[s]
+		k := int(label[s])
 		end[k]--
 		states[end[k]] = s
 		words[k*w+s>>6] |= 1 << uint(s&63)
@@ -211,7 +227,7 @@ func (ix *Index) RegionsIn(sig int, ar *RegionArena) *Regions {
 	res.Signal = sig
 	regs := carve(&ar.regs, tot)
 	ptrs := carve(&ar.ptrs, tot)
-	minBuf := ints[2*n : 2*n : 3*n]
+	bit := uint64(1) << uint(sig)
 	for c := range 4 {
 		for k := start[c]; k < start[c+1]; k++ {
 			hi := n
@@ -226,10 +242,14 @@ func (ix *Index) RegionsIn(sig int, ar *RegionArena) *Regions {
 			off := len(minBuf)
 			for _, s := range r.States {
 				minimal := true
-				for _, e := range g.States[s].Pred {
-					if label[e.To] == k {
-						minimal = false
-						break
+				if minMask != nil {
+					minimal = minMask[s]&bit != 0
+				} else {
+					for _, e := range g.States[s].Pred {
+						if int(label[e.To]) == k {
+							minimal = false
+							break
+						}
 					}
 				}
 				if minimal {
@@ -249,7 +269,7 @@ func (ix *Index) RegionsIn(sig int, ar *RegionArena) *Regions {
 		res.QRAfter[i] = -1
 		for _, s := range er.States {
 			if to, ok := ix.Successor(s, sig); ok {
-				if j := label[to] - ne; j >= 0 && res.QR[j].Dir == er.Dir {
+				if j := int(label[to]) - ne; j >= 0 && res.QR[j].Dir == er.Dir {
 					res.QRAfter[i] = j
 					break
 				}
@@ -272,15 +292,146 @@ type RegionTable struct {
 	Regs []*Regions // indexed by signal
 }
 
-// NewRegionTable builds g's dense Index and decomposes every signal,
-// in signal order.
+// NewRegionTable builds g's dense Index and decomposes every signal.
+// One word-parallel pass labels the regions of all signals
+// (labelRegions); each signal's row of labels is then renumbered class
+// by class and assembled exactly as RegionsIn assembles its own, so the
+// table holds what RegionsOf computes signal by signal. Each signal
+// carves only its states and minimal states, sized to their count; the
+// labels live in scratch the table does not keep.
 func NewRegionTable(g *Graph) *RegionTable {
 	ix := NewIndex(g)
+	n := g.NumStates()
 	t := &RegionTable{Idx: ix, Regs: make([]*Regions, ix.nsig)}
+	var lr regionLabels
+	ix.labelRegions(&lr)
 	for sig := range t.Regs {
-		t.Regs[sig] = ix.RegionsOf(sig)
+		var start [5]int
+		for c, k := range lr.count[sig] {
+			start[c+1] = start[c] + int(k)
+		}
+		row := lr.label[sig*n : (sig+1)*n : (sig+1)*n]
+		nmin := 0
+		for s := range row {
+			e, v := ix.excited[s]>>uint(sig)&1, lr.code[s]>>uint(sig)&1
+			row[s] += int32(start[v^(e^1)*3]) // class: v when excited, 3-v when stable
+			nmin += int(lr.minimal[s] >> uint(sig) & 1)
+		}
+		var ar RegionArena
+		ints := carve(&ar.ints, n+nmin)
+		t.Regs[sig] = assemble(ix, sig, row, &start, ints[:n:n], ints[n:n], lr.minimal, &ar)
 	}
 	return t
+}
+
+// regionLabels is labelRegions' output. label[sig*n+s] numbers state
+// s's region among the regions of its class for signal sig (classes in
+// classDir order), by least state; count[sig][c] counts the regions of
+// class c. Bit sig of minimal[s] says s has no predecessor in its
+// region (Definition 8). code[s] is state s's code.
+type regionLabels struct {
+	label         []int32
+	count         [64][4]int32
+	code, minimal []uint64
+}
+
+// labelRegions numbers the regions of every signal of ix's graph at
+// once. An arc between u and v keeps both ends in one class for exactly
+// the signals in keep(u,v) = ^(exc[u]^exc[v]) & ^(code[u]^code[v]), so
+// one word per state tracks all signals: done[s] holds the signals for
+// which s has a region number, pend[s] those it has not yet pushed to
+// its neighbours. A round seeds each (signal, class) pair at the least
+// state still unlabelled in that class, with the class's next number.
+// It then sweeps the pending states in ascending order: u pushes
+// pend[u] & keep(u,v) &^ done[v] to each successor and predecessor v,
+// copying those signals' numbers to v. A round labels one region of
+// each pair and ends when no state is pending; the next starts while
+// some state is unlabelled for some signal. A seed is its region's
+// least state, so each class's regions are numbered by least state, as
+// RegionsIn's DFS numbers them. Because explore numbers states in BFS
+// order, ascending sweeps merge the signals' waves: a state gathers
+// the signals its lower neighbours push before it pushes them on, so
+// it is taken about 1.5 times whatever the signal count. Minimal states
+// come from one word per state: bit a of the complement of the OR of
+// keep(p,v) over v's predecessors p says v has none in its region.
+//
+//reprolint:hotpath
+func (ix *Index) labelRegions(lr *regionLabels) {
+	g, exc := ix.G, ix.excited
+	n := len(g.States)
+	full := uint64(1)<<uint(ix.nsig) - 1 // ^uint64(0) at 64 signals
+	w := (n + 63) / 64
+	buf := make([]uint64, 4*n+w)
+	lr.code, lr.minimal = buf[:n:n], buf[n:2*n:2*n]
+	done, pend, queue := buf[2*n:3*n:3*n], buf[3*n:4*n:4*n], StateSet(buf[4*n:])
+	lr.label = make([]int32, ix.nsig*n)
+	code, label := lr.code, lr.label
+	for s := range code {
+		code[s] = g.States[s].Code
+	}
+	for v := range g.States {
+		var in uint64
+		for _, e := range g.States[v].Pred {
+			in |= ^(exc[e.To] ^ exc[v]) & ^(code[e.To] ^ code[v])
+		}
+		lr.minimal[v] = full &^ in
+	}
+	for lo := 0; ; {
+		for lo < n && done[lo] == full {
+			lo++
+		}
+		if lo == n {
+			return
+		}
+		var seeded [4]uint64
+		for s := lo; s < n; s++ {
+			un := full &^ done[s]
+			if un == 0 {
+				continue
+			}
+			e, v := exc[s], code[s]
+			for c, m := range [4]uint64{e &^ v, e & v, v &^ e, ^(e | v)} {
+				if m &= un &^ seeded[c]; m == 0 {
+					continue
+				}
+				seeded[c] |= m
+				done[s] |= m
+				pend[s] |= m
+				queue.Add(s)
+				for b := m; b != 0; b &= b - 1 {
+					sig := bits.TrailingZeros64(b)
+					label[sig*n+s] = lr.count[sig][c]
+					lr.count[sig][c]++
+				}
+			}
+		}
+		// Sweep the pending states in ascending order until none is
+		// left; a push to a lower state waits for the next sweep.
+		for first := queue.next(lo); first >= 0; first = queue.next(lo) {
+			for u := first; u >= 0; u = queue.next(u + 1) {
+				queue.Remove(u)
+				m, eu, cu := pend[u], exc[u], code[u]
+				pend[u] = 0
+				st := &g.States[u]
+				for _, adj := range [2][]Edge{st.Succ, st.Pred} {
+					for _, e := range adj {
+						v := e.To
+						push := m & ^(eu ^ exc[v]) & ^(cu ^ code[v]) &^ done[v]
+						if push == 0 {
+							continue
+						}
+						done[v] |= push
+						pend[v] |= push
+						queue.Add(v)
+						for b := push; b != 0; b &= b - 1 {
+							row := bits.TrailingZeros64(b) * n
+							label[row+v] = label[row+u]
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // ERLabel renders an excitation region name such as "ER(+d,1)".
@@ -372,6 +523,9 @@ func (g *Graph) PersistencyViolations() []PersistencyViolation {
 }
 
 // PersistencyViolations is the table-backed form of the graph method.
+// It walks each excitation region's predecessor edges, which are its
+// triggers in Triggers' order, and tests each trigger signal once,
+// against the OR of the signals excited in the region.
 func (t *RegionTable) PersistencyViolations() []PersistencyViolation {
 	ix, g := t.Idx, t.Idx.G
 	var out []PersistencyViolation
@@ -380,14 +534,21 @@ func (t *RegionTable) PersistencyViolations() []PersistencyViolation {
 			continue
 		}
 		for _, er := range regs.ER {
-			var seen uint64
-			for _, tr := range g.Triggers(er) {
-				if seen>>uint(tr.Signal)&1 == 1 {
-					continue
-				}
-				seen |= 1 << uint(tr.Signal)
-				if ix.Concurrent(er, tr.Signal) {
-					out = append(out, PersistencyViolation{Region: er, Trigger: tr.Signal})
+			var excited uint64
+			for _, s := range er.States {
+				excited |= ix.excited[s]
+			}
+			seen := uint64(1) << uint(sig) // a region's own signal never triggers it
+			for _, s := range er.States {
+				for _, e := range g.States[s].Pred {
+					bit := uint64(1) << uint(e.Signal)
+					if seen&bit != 0 || er.Contains(e.To) {
+						continue
+					}
+					seen |= bit
+					if excited&bit != 0 {
+						out = append(out, PersistencyViolation{Region: er, Trigger: e.Signal})
+					}
 				}
 			}
 		}

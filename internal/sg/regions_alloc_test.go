@@ -34,18 +34,19 @@ func TestRegionsOfAllocationSizedToRegions(t *testing.T) {
 	}
 }
 
-// The property report groups states by code in one table and folds
-// each state's successors into masks before any detonant pair is
-// tested, so on an 8,192-state graph it allocates a small constant, not
-// per state.
+// The property report groups states by code in one table, folds each
+// state's successors into masks before any detonant pair is tested,
+// counts conflicts without listing them and walks each excitation
+// region's triggers without listing them, so on an 8,192-state graph it
+// allocates a small constant, not per state or per region.
 func TestCheckAllocationCount(t *testing.T) {
 	g, err := stg.BuildSG(benchdata.GenParallelizer(12))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tab := sg.NewRegionTable(g)
-	if n := testing.AllocsPerRun(3, func() { tab.Check() }); n > 64 {
-		t.Fatalf("Check on fork12 makes %.0f allocations, want ≤ 64", n)
+	if n := testing.AllocsPerRun(3, func() { tab.Check() }); n > 4 {
+		t.Fatalf("Check on fork12 makes %.0f allocations, want ≤ 4", n)
 	}
 }
 
@@ -62,32 +63,6 @@ func TestRegionsOfAllocationCount(t *testing.T) {
 			if n := testing.AllocsPerRun(20, func() { ix.RegionsOf(sig) }); n > 7 {
 				t.Errorf("%s: RegionsOf(%s) makes %.0f allocations, want ≤ 7", e.Name, g.Signals[sig], n)
 			}
-		}
-	}
-}
-
-// A region table holds exactly the per-signal decompositions RegionsOf
-// computes, and its index's early-exit output semi-modularity check
-// agrees with the conflict list.
-func TestRegionTableMatchesRegionsOf(t *testing.T) {
-	for name, g := range propertyGraphs(t) {
-		tab := sg.NewRegionTable(g)
-		if len(tab.Regs) != g.NumSignals() {
-			t.Fatalf("%s: table has %d signals, graph %d", name, len(tab.Regs), g.NumSignals())
-		}
-		for sig, regs := range tab.Regs {
-			ref := g.RegionsOf(sig)
-			if regs.Signal != sig || len(regs.ER) != len(ref.ER) || len(regs.QR) != len(ref.QR) {
-				t.Fatalf("%s/%s: table decomposition differs from RegionsOf", name, g.Signals[sig])
-			}
-			for i := range ref.ER {
-				if !equalIntSlices(regs.ER[i].States, ref.ER[i].States) || regs.QRAfter[i] != ref.QRAfter[i] {
-					t.Fatalf("%s/%s: ER #%d differs from RegionsOf", name, g.Signals[sig], i)
-				}
-			}
-		}
-		if got, want := tab.Idx.OutputSemiModular(), len(g.InternalConflicts()) == 0; got != want {
-			t.Fatalf("%s: OutputSemiModular %v, internal conflicts say %v", name, got, want)
 		}
 	}
 }

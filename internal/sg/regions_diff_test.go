@@ -150,15 +150,24 @@ func compareRegions(t *testing.T, g *sg.Graph, name, kind string, got []*sg.Regi
 	}
 }
 
+// Both decompositions, RegionsOf's per-signal DFS and the region
+// table's word-parallel labelling, must match the map reference.
 func TestDifferentialRegionsVsMapReference(t *testing.T) {
 	for name, g := range propertyGraphs(t) {
+		tab := sg.NewRegionTable(g)
 		for sig := range g.Signals {
-			regs := g.RegionsOf(sig)
 			ref := refDecompose(g, sig)
-			compareRegions(t, g, name, "ER+", splitByDir(regs.ER, sg.Plus), ref.erPlus)
-			compareRegions(t, g, name, "ER-", splitByDir(regs.ER, sg.Minus), ref.erMinus)
-			compareRegions(t, g, name, "QR+", splitByDir(regs.QR, sg.Plus), ref.qrPlus)
-			compareRegions(t, g, name, "QR-", splitByDir(regs.QR, sg.Minus), ref.qrMinus)
+			for _, path := range []struct {
+				name string
+				regs *sg.Regions
+			}{{"table", tab.Regs[sig]}, {"RegionsOf", g.RegionsOf(sig)}} {
+				where := name + " (" + path.name + ")"
+				compareRegions(t, g, where, "ER+", splitByDir(path.regs.ER, sg.Plus), ref.erPlus)
+				compareRegions(t, g, where, "ER-", splitByDir(path.regs.ER, sg.Minus), ref.erMinus)
+				compareRegions(t, g, where, "QR+", splitByDir(path.regs.QR, sg.Plus), ref.qrPlus)
+				compareRegions(t, g, where, "QR-", splitByDir(path.regs.QR, sg.Minus), ref.qrMinus)
+			}
+			regs := g.RegionsOf(sig)
 
 			// CFR(i) must be exactly ER(i) ∪ its following QR, computed
 			// here with maps.

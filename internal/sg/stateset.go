@@ -104,6 +104,22 @@ func (b StateSet) FindFirst(fn func(s int) bool) int {
 	return -1
 }
 
+// next returns the least member not below s, or -1 when there is none.
+func (b StateSet) next(s int) int {
+	i := s >> 6
+	if i >= len(b) {
+		return -1
+	}
+	for w := b[i] >> uint(s&63) << uint(s&63); ; w = b[i] {
+		if w != 0 {
+			return i<<6 + bits.TrailingZeros64(w)
+		}
+		if i++; i == len(b) {
+			return -1
+		}
+	}
+}
+
 // Members returns the sorted member slice.
 func (b StateSet) Members() []int {
 	out := make([]int, 0, b.Count())

@@ -23,8 +23,10 @@ func (m marking) clear(p int)    { m[p/64] &^= 1 << uint(p%64) }
 func (m marking) clone() marking { c := make(marking, len(m)); copy(c, m); return c }
 
 // sgEdge is one explored firing: marking from reaches marking to by
-// firing transition trans.
-type sgEdge struct{ from, trans, to int }
+// firing transition trans. The fields are int32, 12 bytes an edge:
+// states stay below DefaultStateLimit and transitions below the net's
+// size.
+type sgEdge struct{ from, trans, to int32 }
 
 // fireMasks holds the word-level firing machinery of one net: per
 // transition the pre-set and post-set as place bitmasks, so Enabled is a
@@ -272,7 +274,7 @@ func explore(n *STG, limit int) (tb *markTable, edges []sgEdge, unsafe bool, err
 				if added && to >= limit {
 					return tb, nil, false, limitError(limit)
 				}
-				edges = append(edges, sgEdge{from: head, trans: t, to: to}) //reprolint:alloc the edge list is the result; amortized growth, not per-iteration garbage
+				edges = append(edges, sgEdge{from: int32(head), trans: int32(t), to: int32(to)}) //reprolint:alloc the edge list is the result; amortized growth, not per-iteration garbage
 			}
 		}
 		return tb, edges, false, nil
@@ -293,7 +295,7 @@ func explore(n *STG, limit int) (tb *markTable, edges []sgEdge, unsafe bool, err
 			if added && to >= limit {
 				return tb, nil, false, limitError(limit)
 			}
-			edges = append(edges, sgEdge{from: head, trans: t, to: to}) //reprolint:alloc the edge list is the result; amortized growth, not per-iteration garbage
+			edges = append(edges, sgEdge{from: int32(head), trans: int32(t), to: int32(to)}) //reprolint:alloc the edge list is the result; amortized growth, not per-iteration garbage
 		}
 	}
 	return tb, edges, false, nil
@@ -533,7 +535,7 @@ func assembleSG(n *STG, nstates int, edges []sgEdge) (*sg.Graph, error) {
 		if tr.Dir == Minus {
 			d = sg.Minus
 		}
-		if err := g.AddEdge(e.from, e.to, tr.Signal, d); err != nil {
+		if err := g.AddEdge(int(e.from), int(e.to), tr.Signal, d); err != nil {
 			return nil, err
 		}
 	}

@@ -72,7 +72,7 @@ func exploreRef(n *STG, limit int) (int, []sgEdge, error) {
 				index[k] = to
 				marks = append(marks, next)
 			}
-			edges = append(edges, sgEdge{from: head, trans: t, to: to})
+			edges = append(edges, sgEdge{from: int32(head), trans: int32(t), to: int32(to)})
 		}
 	}
 	return len(marks), edges, nil
@@ -166,7 +166,7 @@ func assembleSGRef(n *STG, nstates int, edges []sgEdge) (*sg.Graph, error) {
 			for _, ei := range eidx[start[s]:start[s+1]] {
 				e := edges[ei]
 				tsig := int(trSig[e.trans])
-				vt := val[e.to*nsig : e.to*nsig+nsig]
+				vt := val[int(e.to)*nsig : int(e.to)*nsig+nsig]
 				for sig := 0; sig < nsig; sig++ {
 					if sig == tsig {
 						after := trAfter[e.trans]
@@ -253,7 +253,7 @@ func assembleSGRef(n *STG, nstates int, edges []sgEdge) (*sg.Graph, error) {
 		if tr.Dir == Minus {
 			d = sg.Minus
 		}
-		if err := g.AddEdge(e.from, e.to, tr.Signal, d); err != nil {
+		if err := g.AddEdge(int(e.from), int(e.to), tr.Signal, d); err != nil {
 			return nil, err
 		}
 	}
